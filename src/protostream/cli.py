@@ -14,6 +14,7 @@ The window columns reflect the sliding window after the row's step.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -258,8 +259,8 @@ def _validate(cfg: CliConfig) -> None:
         for seed in v["seed_list"]:
             if seed < 0:
                 raise ConfigError(f"seed_list entries must be nonnegative, got {seed}")
-    if "tie_tolerance" in v and v["tie_tolerance"] < 0.0:
-        raise ConfigError(f"tie_tolerance must be nonnegative, got {v['tie_tolerance']}")
+    if "tie_tolerance" in v and not 0.0 <= v["tie_tolerance"] < math.inf:
+        raise ConfigError(f"tie_tolerance must be finite and nonnegative, got {v['tie_tolerance']}")
     if v.get("seed") is not None and v["seed"] < 0:
         raise ConfigError(f"seed must be nonnegative, got {v['seed']}")
     for key in ("steps", "window", "grid_resolution", "branch_trials",

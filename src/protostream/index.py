@@ -6,6 +6,12 @@ the current point sequence whose distance to the query is within
 is the reference; ``VpTreeIndex`` prunes with the triangle inequality
 and must return the identical position set for any operation sequence.
 
+The tree answers a query in a single descent.  It keeps every live point
+within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
+prunes against that shrinking band, and at the end drops the candidates
+outside the band of the exact minimum.  It keeps the live internal ids in
+one ascending list; a point's position is the rank of its id there.
+
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.
 """
@@ -13,6 +19,7 @@ in both backends, so tie comparisons at tolerance 0 are bit-exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from .errors import EmptyModelError, PositionOutOfRangeError
 from .metrics import MetricDescriptor
@@ -87,12 +94,16 @@ class _Node:
 
 
 class VpTreeIndex:
-    """Vantage-point tree over an arbitrary metric.
+    """Vantage-point tree over an arbitrary metric (Yianilos, SODA 1993).
 
     Inserts descend by the stored split radii, so the partition invariant
     (inner holds exactly the points with d(vantage, p) <= mu) survives
     mutation.  Removal tombstones; the tree is rebuilt from live points
     whenever tombstones exceed half the live count.
+
+    Points get increasing internal ids and ``_ids`` lists the live ones in
+    ascending order.  Removal keeps the relative order, so a point's
+    position is the rank of its id in ``_ids``.
     """
 
     kind = "vptree"
@@ -104,15 +115,14 @@ class VpTreeIndex:
         self._capacity = leaf_capacity
         self._points: list = []       # by internal id, append-only
         self._alive: list[bool] = []  # by internal id
-        self._pos_to_id: list[int] = []
-        self._id_to_pos: dict[int, int] = {}
+        self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
         self._dead = 0
         for p in points:
             self.insert(p)
 
     def __len__(self) -> int:
-        return len(self._pos_to_id)
+        return len(self._ids)
 
     # -- maintenance ---------------------------------------------------
 
@@ -120,8 +130,7 @@ class VpTreeIndex:
         pid = len(self._points)
         self._points.append(point)
         self._alive.append(True)
-        self._id_to_pos[pid] = len(self._pos_to_id)
-        self._pos_to_id.append(pid)
+        self._ids.append(pid)
         if self._root is None:
             self._root = _Node([pid])
             return
@@ -135,20 +144,16 @@ class VpTreeIndex:
             self._split(node)
 
     def remove(self, position: int) -> None:
-        n = len(self._pos_to_id)
+        n = len(self._ids)
         if not 0 <= position < n:
             raise PositionOutOfRangeError(f"position {position} not in [0, {n})")
-        pid = self._pos_to_id.pop(position)
-        del self._id_to_pos[pid]
-        for later in self._pos_to_id[position:]:
-            self._id_to_pos[later] -= 1
-        self._alive[pid] = False
+        self._alive[self._ids.pop(position)] = False
         self._dead += 1
-        if self._dead * 2 > len(self._pos_to_id):
+        if self._dead * 2 > len(self._ids):
             self._rebuild()
 
     def _rebuild(self) -> None:
-        live = list(self._pos_to_id)
+        live = list(self._ids)
         self._dead = 0
         if not live:
             self._root = None
@@ -190,77 +195,59 @@ class VpTreeIndex:
     # -- queries ---------------------------------------------------------
 
     def query_nearest_set(self, x, tie_tolerance: float = 0.0) -> list[int]:
-        if not self._pos_to_id:
+        # One descent: every live point within the current band
+        # best * (1 + tol) is a candidate, and the band only shrinks, so
+        # the candidates include the final tie set.  Each id sits in one
+        # node, so each distance is evaluated at most once.
+        if not self._ids:
             raise EmptyModelError("nearest-set query against an empty index")
-        cache: dict[int, float] = {}
-        dmin = self._find_min(x, cache)
-        threshold = dmin if tie_tolerance == 0.0 else dmin * (1.0 + tie_tolerance)
-        ids = self._collect(x, threshold, cache)
-        positions = [self._id_to_pos[i] for i in ids]
-        positions.sort()
-        return positions
-
-    def _dist_to(self, pid: int, x, cache: dict[int, float]) -> float:
-        # Each point's distance is evaluated at most once per query.
-        d = cache.get(pid)
-        if d is None:
-            d = self._distance(self._points[pid], x)
-            cache[pid] = d
-        return d
-
-    def _find_min(self, x, cache) -> float:
-        best = math.inf
+        dist = self._distance
+        pts = self._points
         alive = self._alive
+        widen = 1.0 + tie_tolerance
+        best = bound = math.inf
+        found = []
         # Entries: (node, parent vantage distance, parent mu, side); the
-        # prune test reruns at pop time against the tightened bound.
+        # prune test runs at pop time against the tightened bound.
         stack = [(self._root, 0.0, 0.0, 0)]
         while stack:
             node, dv, mu, side = stack.pop()
-            if side == 1 and dv > (mu + best) * (1.0 + _PRUNE_SLACK):
+            if side == 1 and dv > (mu + bound) * (1.0 + _PRUNE_SLACK):
                 continue
-            if side == 2 and dv < (mu - best) * (1.0 - _PRUNE_SLACK):
+            if side == 2 and dv < (mu - bound) * (1.0 - _PRUNE_SLACK):
                 continue
-            if node.bucket is not None:
-                for pid in node.bucket:
+            bucket = node.bucket
+            if bucket is not None:
+                for pid in bucket:
                     if alive[pid]:
-                        d = self._dist_to(pid, x, cache)
-                        if d < best:
-                            best = d
+                        d = dist(pts[pid], x)
+                        if d <= bound:
+                            found.append((pid, d))
+                            if d < best:
+                                best = d
+                                bound = best * widen
                 continue
-            dv = self._dist_to(node.vantage, x, cache)
-            if alive[node.vantage] and dv < best:
-                best = dv
+            vantage = node.vantage
+            dv = dist(pts[vantage], x)
+            if alive[vantage] and dv <= bound:
+                found.append((vantage, dv))
+                if dv < best:
+                    best = dv
+                    bound = best * widen
             mu = node.mu
-            near_inner = dv <= mu
             # Far child first so the near child pops first and shrinks best.
-            if near_inner:
+            if dv <= mu:
                 stack.append((node.outer, dv, mu, 2))
                 stack.append((node.inner, dv, mu, 1))
             else:
                 stack.append((node.inner, dv, mu, 1))
                 stack.append((node.outer, dv, mu, 2))
-        return best
-
-    def _collect(self, x, threshold: float, cache) -> list[int]:
-        out = []
-        alive = self._alive
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.bucket is not None:
-                for pid in node.bucket:
-                    if alive[pid] and self._dist_to(pid, x, cache) <= threshold:
-                        out.append(pid)
-                continue
-            dv = self._dist_to(node.vantage, x, cache)
-            if alive[node.vantage] and dv <= threshold:
-                out.append(node.vantage)
-            mu = node.mu
-            if dv <= (mu + threshold) * (1.0 + _PRUNE_SLACK):
-                stack.append(node.inner)
-            if dv >= (mu - threshold) * (1.0 - _PRUNE_SLACK):
-                stack.append(node.outer)
-        return out
+        # bound is now best * (1 + tol) for the exact minimum best, the same
+        # threshold linear_tie_set applies (best * 1.0 == best at tol 0).
+        ids = self._ids
+        positions = [bisect_left(ids, pid) for pid, d in found if d <= bound]
+        positions.sort()
+        return positions
 
 
 def build_index(points, metric: MetricDescriptor, kind: str,

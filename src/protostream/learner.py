@@ -56,8 +56,8 @@ class LearnerConfig:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not (0.5 <= self.q < 1.0):
             raise ConfigError(f"q must satisfy 0.5 <= q < 1, got {self.q}")
-        if self.tie_tolerance < 0.0:
-            raise ConfigError(f"tie_tolerance must be nonnegative, got {self.tie_tolerance}")
+        if not 0.0 <= self.tie_tolerance < math.inf:
+            raise ConfigError(f"tie_tolerance must be finite and nonnegative, got {self.tie_tolerance}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 

@@ -28,11 +28,13 @@ class MetricDescriptor:
 
 
 def euclidean_distance(a, b) -> float:
-    if len(a) != len(b):
+    # math.dist checks the dimensions itself; only its error is translated.
+    try:
+        return math.dist(a, b)
+    except ValueError:
         raise DimensionMismatchError(
             f"euclidean distance needs equal dimensions, got {len(a)} and {len(b)}"
-        )
-    return math.dist(a, b)
+        ) from None
 
 
 def chebyshev_distance(a, b) -> float:

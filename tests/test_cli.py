@@ -43,6 +43,14 @@ def test_q_below_half_rejected():
     assert main(["run", "--q", "0.4"]) == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tie_tolerance_rejected(value, capsys):
+    # A NaN band is never met and 0 * inf is NaN: both would empty the
+    # tie set mid-run instead of failing validation.
+    assert main(["run", "--tie-tolerance", value, "--steps", "10"]) == 2
+    assert "tie_tolerance" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--qq", "0.7"])

@@ -1,0 +1,86 @@
+"""Vantage-point tree contracts beyond per-query agreement with the oracle.
+
+The README promises that the tree evaluates the metric at most once per
+stored point per query, and the learner relies on the two backends giving
+identical whole runs, series included.
+"""
+
+import dataclasses
+from collections import Counter
+
+import pytest
+
+from protostream.experiments import theorem_experiment
+from protostream.index import VpTreeIndex
+from protostream.learner import LearnerConfig
+from protostream.metrics import METRICS, TARGETS, MetricDescriptor
+from protostream.rng import RandomStream, points_stream_index
+from protostream.streams import GridSweep, IidUniform
+
+EUCLID = METRICS["euclidean"]
+
+
+def _fresh_point(rng, lattice):
+    # A new tuple object every call, so id() names one stored point.
+    if lattice:
+        return tuple([float(rng.next_below(lattice)) for _ in range(2)])
+    return tuple([rng.next_unit() * 10.0 for _ in range(2)])
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 0.25])
+@pytest.mark.parametrize("lattice", [None, 5])
+def test_query_evaluates_each_stored_point_at_most_once(tie_tol, lattice):
+    per_point = Counter()
+    counting = False
+
+    def distance(stored, query):
+        if counting:
+            per_point[id(stored)] += 1
+        return EUCLID.distance(stored, query)
+
+    idx = VpTreeIndex(MetricDescriptor("counted", distance))
+    rng = RandomStream(909, 0)
+    # Grow to 300, shrink to 20, grow again: the shrink leaves far more
+    # tombstones than half the live count, so the tree is rebuilt.
+    phases = [("insert", 300), ("remove", 280), ("insert", 150)]
+    for op, count in phases:
+        for _ in range(count):
+            if op == "insert":
+                idx.insert(_fresh_point(rng, lattice))
+            else:
+                idx.remove(rng.next_below(len(idx)))
+            per_point.clear()
+            counting = True
+            idx.query_nearest_set(_fresh_point(rng, lattice), tie_tol)
+            counting = False
+            assert per_point and max(per_point.values()) == 1
+
+
+def _assert_runs_equal(target, config, generator, steps, **kwargs):
+    lin = theorem_experiment(target, EUCLID, config, generator, steps,
+                             index_kind="linear", **kwargs)
+    vpt = theorem_experiment(target, EUCLID, config, generator, steps,
+                             index_kind="vptree", **kwargs)
+    assert lin.config["index"] == "linear" and vpt.config["index"] == "vptree"
+    assert dataclasses.replace(vpt, config=lin.config) == lin
+    assert lin.series
+
+
+def test_whole_run_parity_sine_iid():
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.01, q=0.8, seed=21)
+    gen = IidUniform(target.domain, config.seed, points_stream_index(0))
+    _assert_runs_equal(target, config, gen, 20_000,
+                       tail_window=5000, series_window=500)
+
+
+@pytest.mark.parametrize("tie_tol", [0.0, 0.3])
+def test_whole_run_parity_tie_heavy_grid(tie_tol):
+    # The whole 8x8x8 integer lattice: stored neighbours of a lattice query
+    # sit at bit-equal distances, and about half of the nearest sets hold
+    # more than one point.
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.2, q=0.75, seed=5, tie_tolerance=tie_tol)
+    gen = GridSweep(8, ((0.0, 7.0),) * 3, config.seed, points_stream_index(0))
+    _assert_runs_equal(target, config, gen, 512,
+                       tail_window=128, series_window=32)

@@ -51,6 +51,12 @@ def test_config_validation():
     LearnerConfig(epsilon=1.0, q=0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_tie_tolerance(bad):
+    with pytest.raises(ConfigError):
+        LearnerConfig(epsilon=1.0, q=0.75, tie_tolerance=bad)
+
+
 def test_nearest_set_single_and_ties():
     m = _model(((0.0,), 1.0), ((2.0,), 5.0))
     assert nearest_set((0.1,), m, EUCLID) == [0]
