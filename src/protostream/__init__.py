@@ -22,15 +22,13 @@ from .experiments import (
     growth_identity_experiment,
     theorem_experiment,
 )
-from .index import LinearScanIndex, VpTreeIndex, build_index, linear_tie_set
+from .index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
 from .learner import (
     Action,
-    EmptyModelPolicy,
     Exemplar,
     LearnerConfig,
     Model,
     StepOutcome,
-    iter_steps,
     nearest_set,
     predict,
     run_stream,
@@ -38,7 +36,7 @@ from .learner import (
 )
 from .metrics import METRICS, TARGETS, MetricDescriptor, TargetFunction
 from .rng import RandomStream, learner_stream_index, points_stream_index, sample_uniform
-from .stats import RunReport, SeriesPoint, WindowStats, update_stats
+from .stats import RunReport, SeriesPoint, WindowStats
 from .streams import GridSweep, IidUniform, RandomWalk, generate_stream
 
 __version__ = "0.1.0"
@@ -49,10 +47,10 @@ __all__ = [
     "DimensionMismatchError",
     "EmptyCandidatesError",
     "EmptyModelError",
-    "EmptyModelPolicy",
     "EmptyStreamError",
     "Exemplar",
     "GridSweep",
+    "INDEXES",
     "IidUniform",
     "LearnerConfig",
     "LinearScanIndex",
@@ -70,12 +68,10 @@ __all__ = [
     "TargetFunction",
     "VpTreeIndex",
     "WindowStats",
-    "build_index",
     "conditional_branch_experiment",
     "forced_miss_experiment",
     "generate_stream",
     "growth_identity_experiment",
-    "iter_steps",
     "learner_stream_index",
     "linear_tie_set",
     "nearest_set",
@@ -85,5 +81,4 @@ __all__ = [
     "sample_uniform",
     "step",
     "theorem_experiment",
-    "update_stats",
 ]

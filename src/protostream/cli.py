@@ -1,14 +1,11 @@
 """Command-line front end: run traces, parameter sweeps, verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 output I/O error.
+Exit codes: 0 success, 1 verification failure, 2 configuration or input
+error, 3 output I/O error.
 
-Trace CSV schema (one row per step, floats at 17 significant digits,
-infinity as the literal ``inf``)::
-
-    n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta
-
-The window columns reflect the sliding window after the row's step.
+Every run goes through ``experiments.theorem_experiment``, which also
+writes the trace CSV; the trace format (``TRACE_HEADER``, the writer and
+``read_trace``) lives in ``experiments`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -18,102 +15,97 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError, ProtostreamError
-from .experiments import (
+from .experiments import (  # noqa: F401  (the trace format names are re-exported)
+    TRACE_HEADER,
+    TraceRow,
     conditional_branch_experiment,
     forced_miss_experiment,
+    format_float,
     growth_identity_experiment,
+    read_trace,
     theorem_experiment,
 )
-from .index import INDEX_KINDS, LinearScanIndex, VpTreeIndex
-from .learner import LearnerConfig, iter_steps, set_removal_probability_override
+from .index import INDEX_KINDS
+from .learner import LearnerConfig
 from .metrics import METRICS, TARGETS
-from .rng import RandomStream, learner_stream_index, points_stream_index
-from .stats import RunReport, SeriesPoint, WindowStats
-from .streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk, generate_stream
+from .rng import points_stream_index
+from .streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
+from .streams import generate_stream  # noqa: F401  (unused here; the benchmark tracer patches it)
 
-TRACE_HEADER = "n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta"
 SUMMARY_HEADER = "q,epsilon,seed,final_size,tail_hit_rate,tail_mean_delta,stabilized"
 
 INPUT_METRICS = ("euclidean", "chebyshev", "hamming", "discrete")
 
-_FLOAT_KEYS = {"epsilon", "q", "tie_tolerance", "stream_lo", "stream_hi",
-               "walk_scale", "delta", "inject_removal_probability"}
-_INT_KEYS = {"seed", "steps", "grid_resolution", "window", "jobs",
-             "branch_trials", "miss_trials", "growth_steps", "theorem_steps",
-             "tail_window"}
-_STR_KEYS = {"target", "metric", "index", "stream", "output"}
-_FLOAT_LIST_KEYS = {"q_list", "epsilon_list"}
-_INT_LIST_KEYS = {"seed_list"}
 
-_RUN_KEYS = {"target", "metric", "index", "epsilon", "q", "tie_tolerance",
-             "seed", "steps", "stream", "stream_lo", "stream_hi",
-             "grid_resolution", "walk_scale", "window", "delta", "output"}
-_SWEEP_KEYS = _RUN_KEYS | {"q_list", "epsilon_list", "seed_list", "jobs"}
-_VERIFY_KEYS = {"seed", "index", "window", "delta", "branch_trials",
-                "miss_trials", "growth_steps", "theorem_steps", "tail_window"}
-
-KNOWN_KEYS = {"run": _RUN_KEYS, "sweep": _SWEEP_KEYS, "verify": _VERIFY_KEYS}
-
-_DEFAULTS = {
-    "target": "sine_1d",
-    "metric": "euclidean",
-    "index": "vptree",
-    "epsilon": 0.05,
-    "q": 0.9,
-    "tie_tolerance": 0.0,
-    "seed": 0,
-    "steps": 10_000,
-    "stream": "iid",
-    "stream_lo": None,
-    "stream_hi": None,
-    "grid_resolution": 256,
-    "walk_scale": 0.1,
-    "window": 1000,
-    "delta": 0.01,
-    "output": None,
-    "q_list": None,
-    "epsilon_list": None,
-    "seed_list": None,
-    "jobs": None,
-    "branch_trials": 100_000,
-    "miss_trials": 10_000,
-    "growth_steps": 100_000,
-    "theorem_steps": 200_000,
-    "tail_window": 50_000,
-    "inject_removal_probability": None,
-}
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _parse_scalar(key: str, raw: str):
-    raw = raw.strip()
-    try:
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_LIST_KEYS:
-            return _parse_list(key, raw, float)
-        if key in _INT_LIST_KEYS:
-            return _parse_list(key, raw, int)
-    except ValueError:
-        raise ConfigError(f"malformed value for key '{key}': {raw!r}") from None
-    return raw
-
-
-def _parse_list(key: str, raw: str, convert):
+def _parse_list(raw: str, convert) -> list:
     items = [tok.strip() for tok in raw.split(",") if tok.strip()]
     if not items:
-        raise ConfigError(f"key '{key}' must list at least one value")
+        raise ConfigError(f"expected a comma-separated list of at least one value, got {raw!r}")
     return [convert(tok) for tok in items]
+
+
+def _float_list(raw: str) -> list[float]:
+    return _parse_list(raw, float)
+
+
+def _int_list(raw: str) -> list[int]:
+    return _parse_list(raw, int)
+
+
+class _Key(NamedTuple):
+    """One configuration key: its flag is ``--`` plus the key with dashes."""
+
+    convert: Callable[[str], object]
+    default: object
+    commands: tuple[str, ...]
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+    count: bool = False  # a count of steps, trials or workers: at least 1
+
+
+_ALL = ("run", "sweep", "verify")
+_RUNS = ("run", "sweep")
+
+# Every configuration key, declared once.  Flags, config-file parsing and
+# defaults all come from this table, in this order.
+KEYS = {
+    "seed": _Key(int, 0, _ALL),
+    "index": _Key(str, "vptree", _ALL, INDEX_KINDS),
+    "window": _Key(int, 1000, _ALL, help="sliding-window size for trace stats", count=True),
+    "delta": _Key(float, 0.01, _ALL, help="stabilization threshold on |mean size delta|"),
+    "target": _Key(str, "sine_1d", _RUNS, tuple(sorted(TARGETS))),
+    "metric": _Key(str, "euclidean", _RUNS, INPUT_METRICS),
+    "epsilon": _Key(float, 0.05, _RUNS),
+    "q": _Key(float, 0.9, _RUNS),
+    "tie_tolerance": _Key(float, 0.0, _RUNS),
+    "steps": _Key(int, 10_000, _RUNS, count=True),
+    "stream": _Key(str, "iid", _RUNS, STREAM_KINDS),
+    "stream_lo": _Key(float, None, _RUNS),
+    "stream_hi": _Key(float, None, _RUNS),
+    "grid_resolution": _Key(int, 256, _RUNS),
+    "walk_scale": _Key(float, 0.1, _RUNS),
+    "output": _Key(str, None, _RUNS, help="trace CSV path (run) or output directory (sweep)"),
+    "q_list": _Key(_float_list, None, ("sweep",)),
+    "epsilon_list": _Key(_float_list, None, ("sweep",)),
+    "seed_list": _Key(_int_list, None, ("sweep",)),
+    "jobs": _Key(int, None, ("sweep",), count=True),
+    "branch_trials": _Key(int, 100_000, ("verify",), count=True),
+    "miss_trials": _Key(int, 10_000, ("verify",), count=True),
+    "growth_steps": _Key(int, 100_000, ("verify",), count=True),
+    "theorem_steps": _Key(int, 200_000, ("verify",), count=True),
+    "tail_window": _Key(int, 50_000, ("verify",), count=True),
+    # Fault injection to test verify itself: a hidden flag with no config-file key.
+    "inject_removal_probability": _Key(float, None, ("verify",), help=argparse.SUPPRESS),
+}
+
+KNOWN_KEYS = {cmd: {k for k, key in KEYS.items()
+                    if cmd in key.commands and key.help != argparse.SUPPRESS}
+              for cmd in _ALL}
 
 
 def read_config_file(path: str, subcommand: str) -> dict:
@@ -134,14 +126,20 @@ def read_config_file(path: str, subcommand: str) -> dict:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key '{key}' for {subcommand}")
-        values[key] = _parse_scalar(key, raw)
+        try:
+            values[key] = KEYS[key].convert(raw)
+        except (ValueError, ConfigError):
+            raise ConfigError(f"malformed value for key '{key}': {raw!r}") from None
     return values
 
 
 @dataclass
 class CliConfig:
+    """Merged key values; ``runs`` holds each run's (LearnerConfig, generator)."""
+
     subcommand: str
     values: dict
+    runs: list = field(default_factory=list)
 
     def __getattr__(self, name):
         try:
@@ -150,244 +148,104 @@ class CliConfig:
             raise AttributeError(name) from None
 
 
-def _float_list(raw: str) -> list[float]:
-    return _parse_list("list", raw, float)
-
-
-def _int_list(raw: str) -> list[int]:
-    return _parse_list("list", raw, int)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protostream",
         description="Online exemplar learner over metric spaces",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
+    helps = {"run": "single run, writes a trace CSV",
+             "sweep": "grid of runs over q/epsilon/seed lists",
+             "verify": "run the quantitative acceptance checks"}
+    for cmd, text in helps.items():
+        p = sub.add_parser(cmd, help=text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--index", choices=INDEX_KINDS)
-        p.add_argument("--window", type=int, help="sliding-window size for trace stats")
-        p.add_argument("--delta", type=float, help="stabilization threshold on |mean size delta|")
-
-    def add_run_keys(p):
-        p.add_argument("--target", help=f"one of {', '.join(sorted(TARGETS))}")
-        p.add_argument("--metric", choices=INPUT_METRICS)
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--q", type=float)
-        p.add_argument("--tie-tolerance", dest="tie_tolerance", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--stream", choices=STREAM_KINDS)
-        p.add_argument("--stream-lo", dest="stream_lo", type=float)
-        p.add_argument("--stream-hi", dest="stream_hi", type=float)
-        p.add_argument("--grid-resolution", dest="grid_resolution", type=int)
-        p.add_argument("--walk-scale", dest="walk_scale", type=float)
-        p.add_argument("--output", help="trace CSV path (run) or output directory (sweep)")
-
-    run_p = sub.add_parser("run", help="single run, writes a trace CSV")
-    add_common(run_p)
-    add_run_keys(run_p)
-
-    sweep_p = sub.add_parser("sweep", help="grid of runs over q/epsilon/seed lists")
-    add_common(sweep_p)
-    add_run_keys(sweep_p)
-    sweep_p.add_argument("--q-list", dest="q_list", type=_float_list)
-    sweep_p.add_argument("--epsilon-list", dest="epsilon_list", type=_float_list)
-    sweep_p.add_argument("--seed-list", dest="seed_list", type=_int_list)
-    sweep_p.add_argument("--jobs", type=int)
-
-    verify_p = sub.add_parser("verify", help="run the quantitative acceptance checks")
-    add_common(verify_p)
-    verify_p.add_argument("--branch-trials", dest="branch_trials", type=int)
-    verify_p.add_argument("--miss-trials", dest="miss_trials", type=int)
-    verify_p.add_argument("--growth-steps", dest="growth_steps", type=int)
-    verify_p.add_argument("--theorem-steps", dest="theorem_steps", type=int)
-    verify_p.add_argument("--tail-window", dest="tail_window", type=int)
-    verify_p.add_argument("--inject-removal-probability",
-                          dest="inject_removal_probability", type=float,
-                          help=argparse.SUPPRESS)
+        for name, key in KEYS.items():
+            if cmd in key.commands:
+                p.add_argument("--" + name.replace("_", "-"), dest=name,
+                               type=key.convert, choices=key.choices, help=key.help)
     return parser
 
 
 def parse_config(argv) -> CliConfig:
-    """Merge defaults, optional config file, and flags (flags win)."""
+    """Merge defaults, optional config file, and flags (flags win).
+
+    Every learner configuration and stream generator a run or sweep will
+    use is built here, so each of their errors comes out before any output.
+    """
     args = _build_parser().parse_args(argv)
     subcommand = args.subcommand
-    values = {k: _DEFAULTS[k] for k in KNOWN_KEYS[subcommand]}
-    values["inject_removal_probability"] = None
+    values = {k: key.default for k, key in KEYS.items() if subcommand in key.commands}
     if args.config:
         values.update(read_config_file(args.config, subcommand))
-    for key in KNOWN_KEYS[subcommand] | {"inject_removal_probability"}:
-        flag_value = getattr(args, key, None)
+    for key in values:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             values[key] = flag_value
+    _validate(values)
     cfg = CliConfig(subcommand, values)
-    _validate(cfg)
+    if subcommand in _RUNS:
+        cfg.runs = _plan_runs(values)
     return cfg
 
 
-def _validate(cfg: CliConfig) -> None:
-    v = cfg.values
-    if "target" in v and v["target"] not in TARGETS:
-        raise ConfigError(f"unknown target '{v['target']}'; expected one of "
-                          f"{', '.join(sorted(TARGETS))}")
-    if "metric" in v and v["metric"] not in INPUT_METRICS:
-        raise ConfigError(f"unknown metric '{v['metric']}'; expected one of "
-                          f"{', '.join(INPUT_METRICS)}")
-    if v.get("index") not in INDEX_KINDS:
-        raise ConfigError(f"unknown index '{v.get('index')}'; expected linear or vptree")
-    if "stream" in v and v["stream"] not in STREAM_KINDS:
-        raise ConfigError(f"unknown stream '{v['stream']}'; expected one of "
-                          f"{', '.join(STREAM_KINDS)}")
-    if "epsilon" in v and not v["epsilon"] > 0.0:
-        raise ConfigError(f"epsilon must be positive, got {v['epsilon']}")
-    for key in ("q",):
-        if key in v and not (0.5 <= v[key] < 1.0):
-            raise ConfigError(f"q must satisfy 0.5 <= q < 1, got {v[key]}")
-    for key in ("q_list",):
-        if v.get(key):
-            for q in v[key]:
-                if not (0.5 <= q < 1.0):
-                    raise ConfigError(f"q_list entries must satisfy 0.5 <= q < 1, got {q}")
-    if v.get("epsilon_list"):
-        for eps in v["epsilon_list"]:
-            if not eps > 0.0:
-                raise ConfigError(f"epsilon_list entries must be positive, got {eps}")
-    if v.get("seed_list"):
-        for seed in v["seed_list"]:
-            if seed < 0:
-                raise ConfigError(f"seed_list entries must be nonnegative, got {seed}")
-    if "tie_tolerance" in v and not 0.0 <= v["tie_tolerance"] < math.inf:
-        raise ConfigError(f"tie_tolerance must be finite and nonnegative, got {v['tie_tolerance']}")
-    if v.get("seed") is not None and v["seed"] < 0:
-        raise ConfigError(f"seed must be nonnegative, got {v['seed']}")
-    for key in ("steps", "window", "grid_resolution", "branch_trials",
-                "miss_trials", "growth_steps", "theorem_steps", "tail_window"):
-        if v.get(key) is not None and key in v and v[key] < 1:
-            raise ConfigError(f"{key} must be at least 1, got {v[key]}")
-    if v.get("jobs") is not None and v["jobs"] < 1:
-        raise ConfigError(f"jobs must be at least 1, got {v['jobs']}")
-    if "delta" in v and v["delta"] < 0.0:
-        raise ConfigError(f"delta must be nonnegative, got {v['delta']}")
-    if "walk_scale" in v and not v["walk_scale"] > 0.0:
-        raise ConfigError(f"walk_scale must be positive, got {v['walk_scale']}")
-    lo, hi = v.get("stream_lo"), v.get("stream_hi")
-    if lo is not None and hi is not None and not lo < hi:
-        raise ConfigError(f"stream bounds need stream_lo < stream_hi, got ({lo}, {hi})")
+def _validate(v: dict) -> None:
+    """The checks no dataclass makes: names from config files, counts, delta."""
+    for name, value in v.items():
+        key = KEYS[name]
+        if key.choices and value not in key.choices:
+            raise ConfigError(f"unknown {name} '{value}'; expected one of {', '.join(key.choices)}")
+        if key.count and value is not None and value < 1:
+            raise ConfigError(f"{name} must be at least 1, got {value}")
+    if not 0.0 <= v["delta"] < math.inf:
+        raise ConfigError(f"delta must be finite and nonnegative, got {v['delta']}")
 
 
 # -- run machinery -------------------------------------------------------
 
 
-def _make_generator(kind: str, bounds, seed: int, stream_index: int, v: dict):
-    if kind == "iid":
-        return IidUniform(bounds, seed, stream_index)
-    if kind == "grid":
-        return GridSweep(v["grid_resolution"], bounds, seed, stream_index)
-    return RandomWalk(v["walk_scale"], bounds, seed, stream_index)
-
-
-def _resolve_bounds(v: dict):
-    target = TARGETS[v["target"]]
-    lo = v.get("stream_lo")
-    hi = v.get("stream_hi")
+def _plan_runs(v: dict) -> list:
+    """(LearnerConfig, generator) of every run, in run-index order."""
+    domain = TARGETS[v["target"]].domain
+    lo, hi = v["stream_lo"], v["stream_hi"]
     if lo is None and hi is None:
-        return target.domain
-    dlo, dhi = target.domain[0]
-    return ((lo if lo is not None else dlo, hi if hi is not None else dhi),)
+        bounds = domain
+    else:
+        bounds = ((domain[0][0] if lo is None else lo, domain[0][1] if hi is None else hi),)
+    combos = product(v.get("q_list") or [v["q"]],
+                     v.get("epsilon_list") or [v["epsilon"]],
+                     v.get("seed_list") or [v["seed"]])
+    runs = []
+    for run_index, (q, epsilon, seed) in enumerate(combos):
+        config = LearnerConfig(epsilon=epsilon, q=q, seed=seed,
+                               tie_tolerance=v["tie_tolerance"])
+        stream_index = points_stream_index(run_index)
+        if v["stream"] == "iid":
+            generator = IidUniform(bounds, seed, stream_index)
+        elif v["stream"] == "grid":
+            generator = GridSweep(v["grid_resolution"], bounds, seed, stream_index)
+        else:
+            generator = RandomWalk(v["walk_scale"], bounds, seed, stream_index)
+        runs.append((config, generator))
+    return runs
 
 
-def _execute_run(v: dict, q: float, epsilon: float, seed: int, run_index: int,
-                 trace_path: Optional[str]) -> RunReport:
-    """One learner run; optionally writes its trace CSV as it goes."""
+def _drive(v: dict, config: LearnerConfig, generator, run_index: int,
+           trace_path: str):
     target = TARGETS[v["target"]]
-    input_metric = METRICS[v["metric"]]
-    output_metric = METRICS[target.output_metric]
-    config = LearnerConfig(epsilon=epsilon, q=q, seed=seed,
-                           tie_tolerance=v["tie_tolerance"])
-    bounds = _resolve_bounds(v)
-    generator = _make_generator(v["stream"], bounds, seed,
-                                points_stream_index(run_index), v)
-    points = generate_stream(generator, v["steps"])
-    pairs = [(x, target.evaluate(x)) for x in points]
-    rng = RandomStream(seed, learner_stream_index(run_index))
-    index = LinearScanIndex(input_metric) if v["index"] == "linear" \
-        else VpTreeIndex(input_metric)
-
-    window = v["window"]
-    stats = WindowStats(window)
-    series: list[SeriesPoint] = []
-    out = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else None
-    try:
-        if out:
-            out.write(TRACE_HEADER + "\n")
-        final = None
-        for outcome in iter_steps(pairs, config, input_metric, output_metric,
-                                  rng=rng, index=index):
-            stats.update(outcome)
-            if out:
-                out.write(f"{outcome.step_index},{outcome.action.value},"
-                          f"{outcome.model_size_after},{_fmt(outcome.output_distance)},"
-                          f"{int(outcome.hit)},{_fmt(stats.hit_rate)},"
-                          f"{_fmt(stats.mean_size_delta)}\n")
-            if outcome.step_index % window == 0:
-                series.append(SeriesPoint(outcome.step_index, outcome.model_size_after,
-                                          stats.hit_rate, stats.mean_size_delta))
-            final = outcome
-    finally:
-        if out:
-            out.close()
-    stabilized = abs(stats.mean_size_delta) <= v["delta"]
-    echo = {k: v[k] for k in ("target", "metric", "index", "stream", "steps",
-                              "tie_tolerance", "window", "delta")}
-    echo.update(q=q, epsilon=epsilon, seed=seed)
-    return RunReport(
-        config=echo,
-        final_step=final.step_index,
-        final_size=final.model_size_after,
-        tail_window=window,
-        tail_hit_rate=stats.hit_rate,
-        tail_mean_delta=stats.mean_size_delta,
-        stabilization_delta=v["delta"],
-        stabilized=stabilized,
-        series=series,
-    )
-
-
-@dataclass(slots=True)
-class TraceRow:
-    """One parsed trace line; field meanings match the CSV header."""
-
-    n: int
-    action: str
-    model_size: int
-    output_distance: float
-    hit: bool
-    window_hit_rate: float
-    window_mean_delta: float
-
-
-def read_trace(path: str) -> list[TraceRow]:
-    """Parse a trace CSV back into records (round-trips cmd_run output)."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != TRACE_HEADER:
-            raise ProtostreamError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            n, action, size, dist, hit, hr, md = line.rstrip("\n").split(",")
-            rows.append(TraceRow(int(n), action, int(size), float(dist),
-                                 bool(int(hit)), float(hr), float(md)))
-    return rows
+    return theorem_experiment(
+        target, METRICS[v["metric"]], config, generator, v["steps"],
+        tail_window=v["window"], series_window=v["window"],
+        stabilization_delta=v["delta"], index_kind=v["index"],
+        run_index=run_index, trace_path=trace_path)
 
 
 def cmd_run(cfg: CliConfig) -> int:
     v = cfg.values
     trace_path = v["output"] or "trace.csv"
+    [(config, generator)] = cfg.runs
     try:
-        report = _execute_run(v, v["q"], v["epsilon"], v["seed"], 0, trace_path)
+        report = _drive(v, config, generator, 0, trace_path)
     except OSError as exc:
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
         return 3
@@ -401,10 +259,10 @@ def cmd_run(cfg: CliConfig) -> int:
 
 
 def _sweep_worker(payload: tuple) -> dict:
-    v, q, epsilon, seed, run_index, trace_path = payload
-    report = _execute_run(v, q, epsilon, seed, run_index, trace_path)
+    v, config, generator, run_index, trace_path = payload
+    report = _drive(v, config, generator, run_index, trace_path)
     return {
-        "q": q, "epsilon": epsilon, "seed": seed,
+        "q": config.q, "epsilon": config.epsilon, "seed": config.seed,
         "final_size": report.final_size,
         "tail_hit_rate": report.tail_hit_rate,
         "tail_mean_delta": report.tail_mean_delta,
@@ -415,10 +273,6 @@ def _sweep_worker(payload: tuple) -> dict:
 def cmd_sweep(cfg: CliConfig) -> int:
     v = cfg.values
     out_dir = v["output"] or "sweep_out"
-    qs = v["q_list"] or [v["q"]]
-    epsilons = v["epsilon_list"] or [v["epsilon"]]
-    seeds = v["seed_list"] or [v["seed"]]
-    combos = list(product(qs, epsilons, seeds))
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -426,11 +280,12 @@ def cmd_sweep(cfg: CliConfig) -> int:
         return 3
 
     payloads = []
-    for run_index, (q, epsilon, seed) in enumerate(combos):
-        name = f"trace_q{q:g}_eps{epsilon:g}_seed{seed}.csv"
-        payloads.append((v, q, epsilon, seed, run_index, os.path.join(out_dir, name)))
+    for run_index, (config, generator) in enumerate(cfg.runs):
+        name = f"trace_q{config.q:g}_eps{config.epsilon:g}_seed{config.seed}.csv"
+        payloads.append((v, config, generator, run_index, os.path.join(out_dir, name)))
 
-    jobs = v["jobs"] or min(len(combos), os.cpu_count() or 1)
+    # Never more workers than runs: under fork every worker starts at once.
+    jobs = min(v["jobs"] or os.cpu_count() or 1, len(payloads))
     try:
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -442,13 +297,14 @@ def cmd_sweep(cfg: CliConfig) -> int:
         return 3
 
     summary_path = os.path.join(out_dir, "summary.csv")
+    fmt = format_float
     try:
         with open(summary_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(SUMMARY_HEADER + "\n")
             for row in rows:
-                fh.write(f"{_fmt(row['q'])},{_fmt(row['epsilon'])},{row['seed']},"
-                         f"{row['final_size']},{_fmt(row['tail_hit_rate'])},"
-                         f"{_fmt(row['tail_mean_delta'])},{row['stabilized']}\n")
+                fh.write(f"{fmt(row['q'])},{fmt(row['epsilon'])},{row['seed']},"
+                         f"{row['final_size']},{fmt(row['tail_hit_rate'])},"
+                         f"{fmt(row['tail_mean_delta'])},{row['stabilized']}\n")
     except OSError as exc:
         print(f"error: cannot write summary: {exc}", file=sys.stderr)
         return 3
@@ -490,54 +346,50 @@ def cmd_verify(cfg: CliConfig) -> int:
     lines: list[str] = []
     ok = True
 
-    inject = v.get("inject_removal_probability")
-    if inject is not None:
-        set_removal_probability_override(inject)
-    try:
-        for i, q in enumerate(BRANCH_QS):
-            remove_freq, _keep_freq = conditional_branch_experiment(
-                q, v["branch_trials"], base_seed + i)
-            expected = 1.0 / q - 1.0
-            tol = None if q == 0.5 else BRANCH_TOL
-            ok &= _check(lines, f"conditional-branch q={q:g} remove_frequency",
-                         remove_freq, expected, tol)
-            ok &= _check(lines, f"conditional-branch q={q:g} hit_mean_delta",
-                         -remove_freq, 1.0 - 1.0 / q,
-                         None if q == 0.5 else HIT_DELTA_TOL)
+    for i, q in enumerate(BRANCH_QS):
+        remove_freq, _keep_freq = conditional_branch_experiment(
+            q, v["branch_trials"], base_seed + i)
+        expected = 1.0 / q - 1.0
+        tol = None if q == 0.5 else BRANCH_TOL
+        ok &= _check(lines, f"conditional-branch q={q:g} remove_frequency",
+                     remove_freq, expected, tol)
+        ok &= _check(lines, f"conditional-branch q={q:g} hit_mean_delta",
+                     -remove_freq, 1.0 - 1.0 / q,
+                     None if q == 0.5 else HIT_DELTA_TOL)
 
-        insert_fraction = forced_miss_experiment(v["miss_trials"], base_seed + 17)
-        ok &= _check(lines, "miss-branch insert_fraction", insert_fraction, 1.0, None)
+    insert_fraction = forced_miss_experiment(v["miss_trials"], base_seed + 17)
+    ok &= _check(lines, "miss-branch insert_fraction", insert_fraction, 1.0, None)
 
-        for i, (p, q) in enumerate(product(GROWTH_PS, GROWTH_QS)):
-            measured = growth_identity_experiment(p, q, v["growth_steps"],
-                                                  base_seed + 100 + i)
-            expected = 1.0 - p / q
-            exact = p == 0.0 or (p == 1.0 and q == 0.5)
-            ok &= _check(lines, f"growth-identity p={p:g} q={q:g} mean_delta",
-                         measured, expected, None if exact else GROWTH_TOL)
+    # --inject-removal-probability replaces the removal coin of these runs
+    # only: they are the checks a wrong coin must fail.
+    for i, (p, q) in enumerate(product(GROWTH_PS, GROWTH_QS)):
+        measured = growth_identity_experiment(p, q, v["growth_steps"],
+                                              base_seed + 100 + i,
+                                              v["inject_removal_probability"])
+        expected = 1.0 - p / q
+        exact = p == 0.0 or (p == 1.0 and q == 0.5)
+        ok &= _check(lines, f"growth-identity p={p:g} q={q:g} mean_delta",
+                     measured, expected, None if exact else GROWTH_TOL)
 
-        target = TARGETS["sine_1d"]
-        input_metric = METRICS["euclidean"]
-        for i, q in enumerate(THEOREM_QS):
-            config = LearnerConfig(epsilon=0.05, q=q, seed=base_seed + 200 + i)
-            generator = IidUniform(target.domain, config.seed,
-                                   points_stream_index(0))
-            report = theorem_experiment(
-                target, input_metric, config, generator, v["theorem_steps"],
-                tail_window=v["tail_window"], series_window=v["window"],
-                stabilization_delta=v["delta"], index_kind=v["index"])
-            ok &= _check(lines, f"theorem q={q:g} tail_mean_delta",
-                         report.tail_mean_delta, 0.0, STABILIZATION_TOL)
-            if report.stabilized:
-                ok &= _check(lines, f"theorem q={q:g} tail_hit_rate",
-                             report.tail_hit_rate, q, THEOREM_HIT_TOL)
-            else:
-                lines.append(f"[FAIL] theorem q={q:g} tail_hit_rate: "
-                             f"not evaluated, size did not stabilize")
-                ok = False
-    finally:
-        if inject is not None:
-            set_removal_probability_override(None)
+    target = TARGETS["sine_1d"]
+    input_metric = METRICS["euclidean"]
+    for i, q in enumerate(THEOREM_QS):
+        config = LearnerConfig(epsilon=0.05, q=q, seed=base_seed + 200 + i)
+        generator = IidUniform(target.domain, config.seed,
+                               points_stream_index(0))
+        report = theorem_experiment(
+            target, input_metric, config, generator, v["theorem_steps"],
+            tail_window=v["tail_window"], series_window=v["window"],
+            stabilization_delta=v["delta"], index_kind=v["index"])
+        ok &= _check(lines, f"theorem q={q:g} tail_mean_delta",
+                     report.tail_mean_delta, 0.0, STABILIZATION_TOL)
+        if report.stabilized:
+            ok &= _check(lines, f"theorem q={q:g} tail_hit_rate",
+                         report.tail_hit_rate, q, THEOREM_HIT_TOL)
+        else:
+            lines.append(f"[FAIL] theorem q={q:g} tail_hit_rate: "
+                         f"not evaluated, size did not stabilize")
+            ok = False
 
     for line in lines:
         print(line)
@@ -546,18 +398,16 @@ def cmd_verify(cfg: CliConfig) -> int:
 
 
 def main(argv=None) -> int:
+    # Any package error, at parse or at run time, is a configuration or
+    # input error (exit 2); exit 1 stays reserved for failed checks.
     try:
         cfg = parse_config(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         if cfg.subcommand == "run":
             return cmd_run(cfg)
         if cfg.subcommand == "sweep":
             return cmd_sweep(cfg)
         return cmd_verify(cfg)
-    except ConfigError as exc:
+    except ProtostreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

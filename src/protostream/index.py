@@ -24,8 +24,6 @@ from bisect import bisect_left
 from .errors import EmptyModelError, PositionOutOfRangeError
 from .metrics import MetricDescriptor
 
-INDEX_KINDS = ("linear", "vptree")
-
 _DEFAULT_LEAF_CAPACITY = 16
 
 # Relative slack applied to pruning bounds only (never to the tie test
@@ -250,14 +248,6 @@ class VpTreeIndex:
         return positions
 
 
-def build_index(points, metric: MetricDescriptor, kind: str,
-                leaf_capacity: int = _DEFAULT_LEAF_CAPACITY):
-    """Construct a backend over a nonempty point sequence."""
-    points = list(points)
-    if not points:
-        raise EmptyModelError("cannot build an index over zero points")
-    if kind == "linear":
-        return LinearScanIndex(metric, points)
-    if kind == "vptree":
-        return VpTreeIndex(metric, points, leaf_capacity=leaf_capacity)
-    raise ValueError(f"unknown index kind {kind!r}; expected one of {INDEX_KINDS}")
+# The one place an index kind name maps to a backend class.
+INDEXES = {"linear": LinearScanIndex, "vptree": VpTreeIndex}
+INDEX_KINDS = tuple(INDEXES)

@@ -30,12 +30,6 @@ class Action(Enum):
     KEEP = "Keep"
 
 
-class EmptyModelPolicy(Enum):
-    """What a step does when the model has no exemplars to consult."""
-
-    FORCED_INSERT = "forced_insert"
-
-
 @dataclass(frozen=True)
 class LearnerConfig:
     """Validated run parameters.
@@ -49,7 +43,6 @@ class LearnerConfig:
     q: float
     seed: int = 0
     tie_tolerance: float = 0.0
-    empty_model_policy: EmptyModelPolicy = EmptyModelPolicy.FORCED_INSERT
 
     def __post_init__(self):
         if not self.epsilon > 0.0:
@@ -142,23 +135,9 @@ def predict(model: Model, x, metric: MetricDescriptor, config: LearnerConfig,
     return model.exemplars[sample_uniform(candidates, rng)].output
 
 
-# Fault-injection hook for verification tooling: when not None it replaces
-# the configured removal probability, which must make the growth-identity
-# checks fail.  Never set outside tests or `verify --inject-removal-probability`.
-_removal_probability_override: Optional[float] = None
-
-
-def set_removal_probability_override(value: Optional[float]) -> None:
-    global _removal_probability_override
-    _removal_probability_override = value
-
-
-def resolve_hit_action(config: LearnerConfig, rng: RandomStream) -> Action:
-    """The post-hit coin: Remove with probability 1/q - 1, else Keep."""
-    p_remove = config.remove_probability
-    if _removal_probability_override is not None:
-        p_remove = _removal_probability_override
-    return Action.REMOVE if rng.next_unit() < p_remove else Action.KEEP
+def resolve_hit_action(remove_probability: float, rng: RandomStream) -> Action:
+    """The post-hit coin: Remove with the given probability (1/q - 1), else Keep."""
+    return Action.REMOVE if rng.next_unit() < remove_probability else Action.KEEP
 
 
 def step(model: Model, x, y_true, input_metric: MetricDescriptor,
@@ -192,7 +171,7 @@ def step(model: Model, x, y_true, input_metric: MetricDescriptor,
         return StepOutcome(step_index, sampled, d, False, Action.INSERT,
                            model.size, +1)
 
-    action = resolve_hit_action(config, rng)
+    action = resolve_hit_action(config.remove_probability, rng)
     if action is Action.REMOVE:
         model.remove_at(sampled)
         if index is not None:
@@ -202,19 +181,6 @@ def step(model: Model, x, y_true, input_metric: MetricDescriptor,
     return StepOutcome(step_index, sampled, d, True, Action.KEEP, model.size, 0)
 
 
-def iter_steps(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
-               output_metric: MetricDescriptor, rng: Optional[RandomStream] = None,
-               index=None, model: Optional[Model] = None):
-    """Yield one StepOutcome per (point, value) pair, folding the rule."""
-    if rng is None:
-        rng = RandomStream(config.seed, learner_stream_index(0))
-    if model is None:
-        model = Model()
-    for k, (x, y) in enumerate(pairs, 1):
-        yield step(model, x, y, input_metric, output_metric, config, rng,
-                   index=index, step_index=k)
-
-
 def run_stream(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
                output_metric: MetricDescriptor, rng: Optional[RandomStream] = None,
                index=None, model: Optional[Model] = None) -> list[StepOutcome]:
@@ -222,5 +188,10 @@ def run_stream(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
     pairs = list(pairs)
     if not pairs:
         raise EmptyStreamError("run_stream needs at least one (point, value) pair")
-    return list(iter_steps(pairs, config, input_metric, output_metric,
-                           rng=rng, index=index, model=model))
+    if rng is None:
+        rng = RandomStream(config.seed, learner_stream_index(0))
+    if model is None:
+        model = Model()
+    return [step(model, x, y, input_metric, output_metric, config, rng,
+                 index=index, step_index=k)
+            for k, (x, y) in enumerate(pairs, 1)]

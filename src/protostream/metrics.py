@@ -109,9 +109,9 @@ _LABEL_CELLS = 8
 
 
 def _quantized_labeler(p: Point) -> int:
-    # Cell index on [0, 1]; values outside the box clamp to the edge cells.
-    i = int(p[0] * _LABEL_CELLS)
-    return min(max(i, 0), _LABEL_CELLS - 1)
+    # Cell index on [0, 1]; values outside the box clamp to the edge cells
+    # (before scaling, so a huge coordinate cannot overflow to inf).
+    return min(int(min(max(p[0], 0.0), 1.0) * _LABEL_CELLS), _LABEL_CELLS - 1)
 
 
 TARGETS: dict[str, TargetFunction] = {

@@ -60,11 +60,6 @@ class WindowStats:
         return self._delta_sum / n if n else 0.0
 
 
-def update_stats(stats: WindowStats, outcome: StepOutcome) -> WindowStats:
-    """Feed one outcome into the window; outcomes must arrive in step order."""
-    return stats.update(outcome)
-
-
 @dataclass(slots=True)
 class SeriesPoint:
     """One snapshot of the windowed estimators."""

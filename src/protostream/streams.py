@@ -9,6 +9,7 @@ refuses requests longer than the lattice).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyStreamError
@@ -21,8 +22,11 @@ def _check_bounds(bounds: Bounds) -> None:
     if not bounds:
         raise ConfigError("stream bounds must cover at least one dimension")
     for lo, hi in bounds:
-        if not lo < hi:
-            raise ConfigError(f"stream bounds need lo < hi, got ({lo}, {hi})")
+        # A finite width keeps every generated coordinate, and every
+        # distance between two of them, finite.
+        if not (lo < hi and math.isfinite(lo) and math.isfinite(hi - lo)):
+            raise ConfigError(f"stream bounds need finite lo < hi with a finite "
+                              f"width, got ({lo}, {hi})")
 
 
 @dataclass(frozen=True)
@@ -58,6 +62,12 @@ class GridSweep:
         _check_bounds(self.bounds)
         if self.resolution < 1:
             raise ConfigError(f"grid resolution must be >= 1, got {self.resolution}")
+        # The last lattice coordinate, lo + (resolution - 1) * step, can
+        # round past the largest float even when the width is finite.
+        n = self.resolution - 1
+        if n and not all(math.isfinite(n * ((hi - lo) / n)) for lo, hi in self.bounds):
+            raise ConfigError(f"grid over {self.bounds} at resolution "
+                              f"{self.resolution} overflows")
 
     def generate(self, length: int) -> list[tuple]:
         axes = []
@@ -98,8 +108,15 @@ class RandomWalk:
 
     def __post_init__(self) -> None:
         _check_bounds(self.bounds)
-        if not self.step_scale > 0.0:
-            raise ConfigError(f"walk step scale must be positive, got {self.step_scale}")
+        if not 0.0 < self.step_scale < math.inf:
+            raise ConfigError(f"walk step scale must be finite and positive, "
+                              f"got {self.step_scale}")
+        # Reflection works on offsets of up to twice the width plus a step,
+        # so the box and the step must leave that much room in a float.
+        reach = max(max(abs(lo), abs(hi)) for lo, hi in self.bounds)
+        if not math.isfinite(4.0 * (reach + self.step_scale)):
+            raise ConfigError(f"walk bounds {self.bounds} and step scale "
+                              f"{self.step_scale} overflow the reflection")
 
     def generate(self, length: int) -> list[tuple]:
         rng = RandomStream(self.seed, self.stream)

@@ -3,8 +3,10 @@
 import pytest
 
 from protostream.errors import EmptyModelError, PositionOutOfRangeError
-from protostream.index import LinearScanIndex, VpTreeIndex, build_index, linear_tie_set
-from protostream.metrics import METRICS
+from protostream.experiments import theorem_experiment
+from protostream.index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
+from protostream.learner import LearnerConfig
+from protostream.metrics import METRICS, TARGETS
 from protostream.rng import RandomStream
 
 EUCLID = METRICS["euclidean"]
@@ -25,17 +27,21 @@ def test_linear_tie_set_empty_rejected():
         linear_tie_set([], (0.0,), EUCLID.distance, 0.0)
 
 
-def test_build_index_rejects_empty_and_unknown_kind():
-    with pytest.raises(EmptyModelError):
-        build_index([], EUCLID, "linear")
+class _NoPoints:
+    def generate(self, length):
+        raise AssertionError("no stream point may be generated")
+
+
+def test_unknown_index_kind_rejected():
     with pytest.raises(ValueError):
-        build_index([(0.0,)], EUCLID, "kdtree")
+        theorem_experiment(TARGETS["sine_1d"], EUCLID, LearnerConfig(epsilon=0.1, q=0.9),
+                           _NoPoints(), 10, index_kind="kdtree")
 
 
 def test_all_identical_points_are_all_tied():
     pts = [(2.0, 2.0)] * 7
     for kind in ("linear", "vptree"):
-        idx = build_index(pts, EUCLID, kind)
+        idx = INDEXES[kind](EUCLID, pts)
         assert idx.query_nearest_set((0.0, 0.0), 0.0) == list(range(7))
 
 
@@ -49,7 +55,7 @@ def test_insert_then_query_sees_new_point():
 
 def test_remove_promotes_runner_up():
     for kind in ("linear", "vptree"):
-        idx = build_index([(1.0,), (2.0,), (3.0,)], EUCLID, kind)
+        idx = INDEXES[kind](EUCLID, [(1.0,), (2.0,), (3.0,)])
         assert idx.query_nearest_set((0.0,), 0.0) == [0]
         idx.remove(0)
         # positions shift down after removal
@@ -58,7 +64,7 @@ def test_remove_promotes_runner_up():
 
 
 def test_remove_out_of_range():
-    idx = build_index([(1.0,)], EUCLID, "vptree")
+    idx = INDEXES["vptree"](EUCLID, [(1.0,)])
     with pytest.raises(PositionOutOfRangeError):
         idx.remove(1)
     with pytest.raises(PositionOutOfRangeError):
@@ -141,7 +147,7 @@ def test_rebuild_preserves_live_set():
     rng = RandomStream(55, 0)
     pts = [_random_point(rng, 2) for _ in range(200)]
     lin = LinearScanIndex(EUCLID, pts)
-    vpt = build_index(pts, EUCLID, "vptree")
+    vpt = INDEXES["vptree"](EUCLID, pts)
     # removing most points forces at least one tombstone rebuild
     for _ in range(180):
         pos = rng.next_below(len(lin))

@@ -3,7 +3,7 @@
 import math
 
 from protostream.learner import Action, StepOutcome
-from protostream.stats import RunReport, WindowStats, update_stats
+from protostream.stats import RunReport, WindowStats
 
 
 def _outcome(n, hit, action, size_after, delta):
@@ -22,7 +22,7 @@ def _outcome(n, hit, action, size_after, delta):
 def test_all_misses_window():
     stats = WindowStats(window_size=10)
     for n in range(1, 6):
-        update_stats(stats, _outcome(n, False, Action.INSERT, n, 1))
+        stats.update(_outcome(n, False, Action.INSERT, n, 1))
     assert stats.hit_rate == 0.0
     assert stats.mean_size_delta == 1.0
     assert stats.window_fill == 5
@@ -35,7 +35,7 @@ def test_all_hits_all_removes_window():
     size = 100
     for n in range(1, 8):
         size -= 1
-        update_stats(stats, _outcome(n, True, Action.REMOVE, size, -1))
+        stats.update(_outcome(n, True, Action.REMOVE, size, -1))
     assert stats.hit_rate == 1.0
     assert stats.mean_size_delta == -1.0
 
