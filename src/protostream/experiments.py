@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ProtostreamError
+from .errors import ConfigError, ProtostreamError
 from .index import INDEX_KINDS, INDEXES
 from .learner import (
     Action,
@@ -64,7 +64,7 @@ def conditional_branch_experiment(q: float, trials: int, seed: int) -> tuple[flo
     removal to keep the setup fixed.
     """
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     config = LearnerConfig(epsilon=0.5, q=q, seed=seed)
     input_metric = METRICS["euclidean"]
     output_metric = METRICS["absolute_difference"]
@@ -85,7 +85,7 @@ def conditional_branch_experiment(q: float, trials: int, seed: int) -> tuple[flo
 def forced_miss_experiment(trials: int, seed: int) -> float:
     """Fraction of forced-miss steps that insert (must be exactly 1.0)."""
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     config = LearnerConfig(epsilon=0.5, q=0.75, seed=seed)
     input_metric = METRICS["euclidean"]
     output_metric = METRICS["absolute_difference"]
@@ -114,9 +114,9 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
     wrong coin fails the identity.
     """
     if not 0.0 <= hit_probability <= 1.0:
-        raise ValueError(f"hit probability must lie in [0, 1], got {hit_probability}")
+        raise ConfigError(f"hit probability must lie in [0, 1], got {hit_probability}")
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ConfigError(f"steps must be >= 1, got {steps}")
     config = LearnerConfig(epsilon=1.0, q=q, seed=seed)
     if removal_probability is None:
         removal_probability = config.remove_probability
@@ -142,12 +142,14 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     """Full learner run; reports tail estimators and the stabilization flag.
 
     ``run_index`` selects the learner substream ``learner_stream_index(run_index)``
-    (the generator carries its own).  With ``trace_path`` the trace CSV is
-    written there as the run steps; the file is opened only once the stream
-    exists, so a stream that cannot be generated leaves no file behind.
+    (the generator carries its own).  Stream points are drawn as the run
+    steps, so memory follows the live model and the windows, not ``steps``.
+    With ``trace_path`` the trace CSV is written there as the run steps; the
+    file is opened only once ``generate_stream`` has returned, so a stream
+    that cannot be generated leaves no file behind.
     """
     if index_kind not in INDEXES:
-        raise ValueError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
+        raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
     if output_metric is None:
         output_metric = METRICS[target.output_metric]
     points = generate_stream(generator, steps)

@@ -10,7 +10,10 @@ The tree answers a query in a single descent.  It keeps every live point
 within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
 prunes against that shrinking band, and at the end drops the candidates
 outside the band of the exact minimum.  It keeps the live internal ids in
-one ascending list; a point's position is the rank of its id there.
+one ascending list; a point's position is the rank of its id there.  Each
+rebuild renumbers the live ids to ``0..n-1`` in the same order and drops
+the removed points, so the tree's storage follows the live count, not the
+number of points ever inserted.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.
@@ -101,7 +104,9 @@ class VpTreeIndex:
 
     Points get increasing internal ids and ``_ids`` lists the live ones in
     ascending order.  Removal keeps the relative order, so a point's
-    position is the rank of its id in ``_ids``.
+    position is the rank of its id in ``_ids``.  A rebuild renumbers the
+    live ids to ``0..n-1``, order preserved, and drops the dead entries;
+    positions, vantage picks and tie orders are unchanged by it.
     """
 
     kind = "vptree"
@@ -111,7 +116,7 @@ class VpTreeIndex:
             raise ValueError("leaf capacity must be at least 1")
         self._distance = metric.distance
         self._capacity = leaf_capacity
-        self._points: list = []       # by internal id, append-only
+        self._points: list = []       # by internal id, compacted at rebuild
         self._alive: list[bool] = []  # by internal id
         self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
@@ -151,14 +156,18 @@ class VpTreeIndex:
             self._rebuild()
 
     def _rebuild(self) -> None:
-        live = list(self._ids)
+        pts = self._points
+        self._points = [pts[i] for i in self._ids]
+        n = len(self._points)
+        self._alive = [True] * n
+        self._ids = list(range(n))
         self._dead = 0
-        if not live:
+        if not n:
             self._root = None
             return
-        root = _Node(live)
+        root = _Node(list(range(n)))
         self._root = root
-        if len(live) > self._capacity:
+        if n > self._capacity:
             self._split(root)
 
     def _split(self, node: _Node) -> None:

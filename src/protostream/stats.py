@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+from .errors import ConfigError
 from .learner import StepOutcome
 
 
@@ -14,6 +15,8 @@ class WindowStats:
     Counters update in O(1) per step.  Over any full or partial window
     the identity mean_size_delta == miss_fraction - remove_fraction holds
     exactly, because every miss inserts (+1) and the only -1 is a removal.
+    Each step sits in the window as the one int ``2 * delta + hit``, so
+    ``event & 1`` is the hit and ``event >> 1`` the size delta.
     """
 
     __slots__ = ("window_size", "_events", "_hits", "_delta_sum",
@@ -21,7 +24,7 @@ class WindowStats:
 
     def __init__(self, window_size: int = 1000):
         if window_size < 1:
-            raise ValueError("window size must be at least 1")
+            raise ConfigError(f"window size must be at least 1, got {window_size}")
         self.window_size = window_size
         self._events: deque = deque()
         self._hits = 0
@@ -32,15 +35,14 @@ class WindowStats:
     def update(self, outcome: StepOutcome) -> "WindowStats":
         hit = outcome.hit
         delta = outcome.size_delta
-        self._events.append((hit, delta))
-        if hit:
-            self._hits += 1
+        events = self._events
+        events.append(2 * delta + hit)
+        self._hits += hit
         self._delta_sum += delta
-        if len(self._events) > self.window_size:
-            old_hit, old_delta = self._events.popleft()
-            if old_hit:
-                self._hits -= 1
-            self._delta_sum -= old_delta
+        if len(events) > self.window_size:
+            old = events.popleft()
+            self._hits -= old & 1
+            self._delta_sum -= old >> 1
         self.step_count = outcome.step_index
         self.model_size = outcome.model_size_after
         return self

@@ -4,12 +4,19 @@ All generators are deterministic in (seed, stream): IidUniform and
 RandomWalk produce distinct points with probability 1, GridSweep by
 construction (it emits a seeded permutation of a finite lattice and
 refuses requests longer than the lattice).
+
+``generate_stream`` returns a sized iterable of points.  For IidUniform
+and RandomWalk it is a ``StreamView``: each point is drawn only when an
+iteration reaches it, so a run holds one point at a time, and every
+iteration replays the same points from ``(seed, stream)``.  GridSweep
+returns a list, because its whole lattice is shuffled up front anyway.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ConfigError, EmptyStreamError
@@ -18,7 +25,13 @@ from .rng import RandomStream
 Bounds = tuple[tuple[float, float], ...]
 
 
-def _check_bounds(bounds: Bounds) -> None:
+def _check_source(generator) -> None:
+    # Checked at construction: a lazy stream opens its RandomStream only
+    # when first iterated, which is after a run has opened its trace file.
+    if generator.seed < 0 or generator.stream < 0:
+        raise ConfigError(f"stream seed and index must be nonnegative, got "
+                          f"seed {generator.seed}, stream {generator.stream}")
+    bounds = generator.bounds
     if not bounds:
         raise ConfigError("stream bounds must cover at least one dimension")
     for lo, hi in bounds:
@@ -38,15 +51,16 @@ class IidUniform:
     stream: int = 1
 
     def __post_init__(self) -> None:
-        _check_bounds(self.bounds)
+        _check_source(self)
 
-    def generate(self, length: int) -> list[tuple]:
-        rng = RandomStream(self.seed, self.stream)
-        unit = rng.next_unit
-        return [
-            tuple(lo + unit() * (hi - lo) for lo, hi in self.bounds)
-            for _ in range(length)
-        ]
+    def generate(self, length: int) -> "StreamView":
+        return StreamView(self, length)
+
+    def points(self, length: int) -> Iterator[tuple]:
+        unit = RandomStream(self.seed, self.stream).next_unit
+        bounds = self.bounds
+        for _ in range(length):
+            yield tuple(lo + unit() * (hi - lo) for lo, hi in bounds)
 
 
 @dataclass(frozen=True)
@@ -59,7 +73,7 @@ class GridSweep:
     stream: int = 1
 
     def __post_init__(self) -> None:
-        _check_bounds(self.bounds)
+        _check_source(self)
         if self.resolution < 1:
             raise ConfigError(f"grid resolution must be >= 1, got {self.resolution}")
         # The last lattice coordinate, lo + (resolution - 1) * step, can
@@ -107,7 +121,7 @@ class RandomWalk:
     stream: int = 1
 
     def __post_init__(self) -> None:
-        _check_bounds(self.bounds)
+        _check_source(self)
         if not 0.0 < self.step_scale < math.inf:
             raise ConfigError(f"walk step scale must be finite and positive, "
                               f"got {self.step_scale}")
@@ -118,23 +132,47 @@ class RandomWalk:
             raise ConfigError(f"walk bounds {self.bounds} and step scale "
                               f"{self.step_scale} overflow the reflection")
 
-    def generate(self, length: int) -> list[tuple]:
+    def generate(self, length: int) -> "StreamView":
+        return StreamView(self, length)
+
+    def points(self, length: int) -> Iterator[tuple]:
         rng = RandomStream(self.seed, self.stream)
         pos = [0.5 * (lo + hi) for lo, hi in self.bounds]
-        out = [tuple(pos)]
+        yield tuple(pos)
         for _ in range(length - 1):
             for i, (lo, hi) in enumerate(self.bounds):
                 delta = (2.0 * rng.next_unit() - 1.0) * self.step_scale
                 pos[i] = _reflect(pos[i] + delta, lo, hi)
-            out.append(tuple(pos))
-        return out
+            yield tuple(pos)
+
+
+@dataclass(frozen=True)
+class StreamView:
+    """The first ``length`` points of a generator, drawn on demand.
+
+    ``len()`` is the length; each iteration calls ``generator.points``
+    afresh and so replays the same points.  ``list()`` materialises them.
+    """
+
+    generator: IidUniform | RandomWalk
+    length: int
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[tuple]:
+        return self.generator.points(self.length)
 
 
 STREAM_KINDS = ("iid", "grid", "walk")
 
 
-def generate_stream(generator, length: int) -> list[tuple]:
-    """Materialize ``length`` points; length must be at least 1."""
+def generate_stream(generator, length: int) -> StreamView | list[tuple]:
+    """``length`` points, at least 1, as a sized, re-iterable collection.
+
+    A lazy ``StreamView`` for IidUniform and RandomWalk, a list for
+    GridSweep; a grid that cannot emit ``length`` points raises here.
+    """
     if length < 1:
         raise EmptyStreamError(f"stream length must be >= 1, got {length}")
     return generator.generate(length)

@@ -8,18 +8,27 @@ pi(1) = q, pi(0) = 1 - q, which pins the long-run hit rate at q and the
 mean size change at zero.
 """
 
-import pytest
+import os
+import tempfile
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from protostream.errors import ConfigError
 from protostream.experiments import (
     conditional_branch_experiment,
     forced_miss_experiment,
     growth_identity_experiment,
+    read_trace,
     theorem_experiment,
 )
+from protostream.index import INDEX_KINDS
 from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS
 from protostream.rng import points_stream_index
-from protostream.streams import IidUniform
+from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
 
 EUCLID = METRICS["euclidean"]
 
@@ -55,9 +64,9 @@ def test_growth_interior_cell():
 
 
 def test_growth_rejects_bad_probability():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         growth_identity_experiment(-0.1, 0.75, 100, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         growth_identity_experiment(1.5, 0.75, 100, seed=0)
 
 
@@ -112,3 +121,65 @@ def test_theorem_report_echoes_settings():
     assert report.config["target"] == "sine_1d"
     assert report.tail_window == 500
     assert report.final_step == 2000
+
+
+def test_theorem_rejects_empty_tail_window():
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.05, q=0.9, seed=0)
+    gen = IidUniform(target.domain, 0, points_stream_index(0))
+    with pytest.raises(ConfigError):
+        theorem_experiment(target, EUCLID, config, gen, 100, tail_window=0)
+
+
+def _peak_traced_bytes(steps, epsilon, q):
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=epsilon, q=q, seed=0)
+    gen = IidUniform(target.domain, 0, points_stream_index(0))
+    tracemalloc.start()
+    try:
+        theorem_experiment(target, EUCLID, config, gen, steps,
+                           tail_window=1000, series_window=1000)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("epsilon,q", [(0.05, 0.9), (0.002, 0.5)])
+def test_theorem_memory_does_not_grow_with_steps(epsilon, q):
+    # Both models are near their stable size (about 50 and 550 exemplars)
+    # by 5k steps.  At q 0.5 half the hits remove, so the tree rebuilds
+    # often: a stream list or uncompacted tree storage would add well over
+    # 1 MB between 5k and 25k steps.
+    growth = _peak_traced_bytes(25_000, epsilon, q) - _peak_traced_bytes(5000, epsilon, q)
+    assert growth < 0.5e6
+
+
+_DELTA = {"Insert": 1, "Remove": -1, "Keep": 0}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.5, 0.95),
+       epsilon=st.floats(0.01, 1.0), stream=st.sampled_from(STREAM_KINDS),
+       index_kind=st.sampled_from(INDEX_KINDS), steps=st.integers(1, 2000))
+def test_trace_size_is_running_sum_of_deltas(seed, q, epsilon, stream, index_kind, steps):
+    target = TARGETS["sine_1d"]
+    stream_index = points_stream_index(0)
+    if stream == "iid":
+        gen = IidUniform(target.domain, seed, stream_index)
+    elif stream == "walk":
+        gen = RandomWalk(0.3, target.domain, seed, stream_index)
+    else:
+        gen = GridSweep(2000, target.domain, seed, stream_index)
+    config = LearnerConfig(epsilon=epsilon, q=q, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        report = theorem_experiment(target, EUCLID, config, gen, steps,
+                                    tail_window=500, series_window=100,
+                                    index_kind=index_kind, trace_path=path)
+        rows = read_trace(path)
+    assert [r.n for r in rows] == list(range(1, steps + 1))
+    size = 0
+    for row in rows:
+        size += _DELTA[row.action]
+        assert row.model_size == size
+    assert size == report.final_size

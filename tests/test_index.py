@@ -2,7 +2,7 @@
 
 import pytest
 
-from protostream.errors import EmptyModelError, PositionOutOfRangeError
+from protostream.errors import ConfigError, EmptyModelError, PositionOutOfRangeError
 from protostream.experiments import theorem_experiment
 from protostream.index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
 from protostream.learner import LearnerConfig
@@ -33,7 +33,7 @@ class _NoPoints:
 
 
 def test_unknown_index_kind_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         theorem_experiment(TARGETS["sine_1d"], EUCLID, LearnerConfig(epsilon=0.1, q=0.9),
                            _NoPoints(), 10, index_kind="kdtree")
 

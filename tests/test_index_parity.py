@@ -9,13 +9,15 @@ import dataclasses
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protostream.experiments import theorem_experiment
 from protostream.index import VpTreeIndex
 from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, MetricDescriptor
 from protostream.rng import RandomStream, points_stream_index
-from protostream.streams import GridSweep, IidUniform
+from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
 
 EUCLID = METRICS["euclidean"]
 
@@ -56,10 +58,27 @@ def test_query_evaluates_each_stored_point_at_most_once(tie_tol, lattice):
             assert per_point and max(per_point.values()) == 1
 
 
-def _assert_runs_equal(target, config, generator, steps, **kwargs):
-    lin = theorem_experiment(target, EUCLID, config, generator, steps,
+def test_storage_follows_live_count():
+    # Rebuilds renumber the live ids and drop removed points, so per-id
+    # storage never exceeds the live count plus the removals a rebuild
+    # tolerates (at most half the live count, plus one).
+    idx = VpTreeIndex(EUCLID)
+    rng = RandomStream(4, 0)
+    for op, count in [("insert", 400), ("remove", 390), ("insert", 200),
+                      ("remove", 205)]:
+        for _ in range(count):
+            if op == "insert":
+                idx.insert(_fresh_point(rng, None))
+            else:
+                idx.remove(rng.next_below(len(idx)))
+            assert len(idx._points) <= 1.5 * len(idx) + 1
+    assert len(idx) == 5
+
+
+def _assert_runs_equal(target, config, generator, steps, metric=EUCLID, **kwargs):
+    lin = theorem_experiment(target, metric, config, generator, steps,
                              index_kind="linear", **kwargs)
-    vpt = theorem_experiment(target, EUCLID, config, generator, steps,
+    vpt = theorem_experiment(target, metric, config, generator, steps,
                              index_kind="vptree", **kwargs)
     assert lin.config["index"] == "linear" and vpt.config["index"] == "vptree"
     assert dataclasses.replace(vpt, config=lin.config) == lin
@@ -84,3 +103,27 @@ def test_whole_run_parity_tie_heavy_grid(tie_tol):
     gen = GridSweep(8, ((0.0, 7.0),) * 3, config.seed, points_stream_index(0))
     _assert_runs_equal(target, config, gen, 512,
                        tail_window=128, series_window=32)
+
+
+# Integer lattice coordinates make bit-equal distances, hence ties, common.
+_LATTICE = 45
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.5, 0.95),
+       epsilon=st.floats(0.1, 1.0), tie_tol=st.sampled_from([0.0, 0.05, 0.3]),
+       stream=st.sampled_from(STREAM_KINDS), metric=st.sampled_from(["euclidean", "chebyshev"]),
+       dim=st.integers(1, 2), steps=st.integers(50, 2000))
+def test_whole_run_parity_property(seed, q, epsilon, tie_tol, stream, metric, dim, steps):
+    box = ((0.0, _LATTICE - 1.0),) * dim
+    stream_index = points_stream_index(0)
+    if stream == "iid":
+        gen = IidUniform(box, seed, stream_index)
+    elif stream == "walk":
+        gen = RandomWalk(1.5, box, seed, stream_index)
+    else:
+        gen = GridSweep(_LATTICE, box, seed, stream_index)
+        steps = min(steps, _LATTICE ** dim)
+    config = LearnerConfig(epsilon=epsilon, q=q, seed=seed, tie_tolerance=tie_tol)
+    _assert_runs_equal(TARGETS["sine_1d"], config, gen, steps, metric=METRICS[metric],
+                       tail_window=500, series_window=25)

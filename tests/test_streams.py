@@ -1,5 +1,6 @@
 """Input streams: uniform draws, shuffled lattices, reflected walks."""
 
+import hashlib
 import math
 
 import pytest
@@ -39,13 +40,13 @@ def test_iid_uniform_passes_ks_at_one_percent():
 def test_iid_uniform_same_seed_reproduces():
     a = generate_stream(IidUniform(UNIT, seed=8), 100)
     b = generate_stream(IidUniform(UNIT, seed=8), 100)
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_iid_uniform_streams_diverge():
     a = generate_stream(IidUniform(UNIT, seed=8, stream=1), 50)
     b = generate_stream(IidUniform(UNIT, seed=8, stream=3), 50)
-    assert a != b
+    assert list(a) != list(b)
 
 
 def test_grid_sweep_resolution_four_is_permutation():
@@ -67,14 +68,14 @@ def test_grid_sweep_two_dimensional_lattice():
 
 def test_grid_sweep_resolution_one_is_lower_corner():
     gen = GridSweep(1, ((3.0, 4.0),), seed=0)
-    assert generate_stream(gen, 1) == [(3.0,)]
+    assert list(generate_stream(gen, 1)) == [(3.0,)]
 
 
 def test_grid_sweep_shuffle_depends_on_seed():
     a = generate_stream(GridSweep(16, UNIT, seed=1), 16)
     b = generate_stream(GridSweep(16, UNIT, seed=2), 16)
     assert sorted(a) == sorted(b)
-    assert a != b
+    assert list(a) != list(b)
 
 
 def test_grid_sweep_rejects_requests_beyond_lattice():
@@ -86,7 +87,7 @@ def test_grid_sweep_rejects_requests_beyond_lattice():
 def test_random_walk_stays_in_bounds_and_moves_gently():
     scale = 0.07
     gen = RandomWalk(scale, UNIT, seed=6)
-    points = generate_stream(gen, 2000)
+    points = list(generate_stream(gen, 2000))
     assert points[0] == (0.5,)
     for prev, cur in zip(points, points[1:]):
         assert 0.0 <= cur[0] <= 1.0
@@ -96,12 +97,41 @@ def test_random_walk_stays_in_bounds_and_moves_gently():
 def test_random_walk_same_seed_reproduces():
     a = generate_stream(RandomWalk(0.1, UNIT, seed=9), 200)
     b = generate_stream(RandomWalk(0.1, UNIT, seed=9), 200)
-    assert a == b
+    assert list(a) == list(b)
 
 
 def test_generate_stream_rejects_nonpositive_length():
     with pytest.raises(EmptyStreamError):
         generate_stream(IidUniform(UNIT, seed=0), 0)
+
+
+BOX = ((0.0, 1.0), (-2.0, 3.0))
+
+# SHA-256 of repr(list of points): the 1000 points each generator drew
+# when streams were still built as lists, so laziness kept every draw.
+LAZY_DIGESTS = [
+    (IidUniform(BOX, seed=11, stream=2),
+     "2b5056c13ae3d3c95cdc46f3f09ed7eeb266f95342d8fb26fd218091fa74e746"),
+    (RandomWalk(0.1, BOX, seed=11, stream=2),
+     "effa50bf31c3059a84e4d7ae136b109c1a3017614e471ec87e610fee09ebeacd"),
+]
+
+
+@pytest.mark.parametrize("gen,digest", LAZY_DIGESTS, ids=["iid", "walk"])
+def test_lazy_stream_has_length_replays_and_keeps_draws(gen, digest):
+    view = generate_stream(gen, 1000)
+    assert len(view) == 1000
+    first = list(view)
+    assert len(first) == 1000
+    assert list(view) == first
+    assert hashlib.sha256(repr(first).encode()).hexdigest() == digest
+
+
+def test_lazy_stream_draws_on_demand():
+    view = generate_stream(IidUniform(UNIT, seed=0), 10**12)
+    points = iter(view)
+    head = [next(points) for _ in range(3)]
+    assert head == list(generate_stream(IidUniform(UNIT, seed=0), 3))
 
 
 def test_bounds_must_be_ordered():
@@ -111,3 +141,13 @@ def test_bounds_must_be_ordered():
         GridSweep(4, ((2.0, 1.0),), seed=0)
     with pytest.raises(ConfigError):
         RandomWalk(0.1, (), seed=0)
+
+
+@pytest.mark.parametrize("seed,stream", [(-1, 1), (0, -1)])
+def test_negative_seed_or_stream_rejected_at_construction(seed, stream):
+    # A lazy stream would otherwise fail only once a run iterates it.
+    for make in (lambda: IidUniform(UNIT, seed, stream),
+                 lambda: GridSweep(4, UNIT, seed, stream),
+                 lambda: RandomWalk(0.1, UNIT, seed, stream)):
+        with pytest.raises(ConfigError):
+            make()
