@@ -25,11 +25,8 @@ from .experiments import (
 from .index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
 from .learner import (
     Action,
-    Exemplar,
     LearnerConfig,
-    Model,
     StepOutcome,
-    nearest_set,
     predict,
     run_stream,
     step,
@@ -48,7 +45,6 @@ __all__ = [
     "EmptyCandidatesError",
     "EmptyModelError",
     "EmptyStreamError",
-    "Exemplar",
     "GridSweep",
     "INDEXES",
     "IidUniform",
@@ -56,7 +52,6 @@ __all__ = [
     "LinearScanIndex",
     "METRICS",
     "MetricDescriptor",
-    "Model",
     "PositionOutOfRangeError",
     "ProtostreamError",
     "RandomStream",
@@ -74,7 +69,6 @@ __all__ = [
     "growth_identity_experiment",
     "learner_stream_index",
     "linear_tie_set",
-    "nearest_set",
     "points_stream_index",
     "predict",
     "run_stream",

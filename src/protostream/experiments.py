@@ -3,7 +3,7 @@
 Three layers of evidence, from isolated to end-to-end:
 
 * conditional_branch_experiment / forced_miss_experiment pin the per-step
-  branch frequencies on a fixed two-exemplar model.
+  branch frequencies on a fixed two-exemplar model (a LinearScanIndex).
 * growth_identity_experiment checks mean size growth of 1 - p/q against a
   Bernoulli(p) hit stub, bypassing all geometry.
 * theorem_experiment runs the full learner on a synthetic target and
@@ -27,15 +27,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, ProtostreamError
-from .index import INDEX_KINDS, INDEXES
-from .learner import (
-    Action,
-    Exemplar,
-    LearnerConfig,
-    Model,
-    resolve_hit_action,
-    step,
-)
+from .index import INDEX_KINDS, INDEXES, LinearScanIndex
+from .learner import Action, LearnerConfig, resolve_hit_action, step
 from .metrics import METRICS, MetricDescriptor, TargetFunction
 from .rng import RandomStream, learner_stream_index
 from .stats import RunReport, SeriesPoint, WindowStats
@@ -49,36 +42,39 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _two_exemplar_model() -> Model:
-    model = Model()
-    model.append(Exemplar((0.0,), 0.0))
-    model.append(Exemplar((9.0,), 4.0))
-    return model
+# The fixed model of the branch experiments; queries sit next to the first.
+_NEAR = ((0.0,), 0.0)
+_FAR = ((9.0,), 4.0)
+
+
+def _two_exemplar_index() -> LinearScanIndex:
+    index = LinearScanIndex(METRICS["euclidean"])
+    index.insert(*_NEAR)
+    index.insert(*_FAR)
+    return index
 
 
 def conditional_branch_experiment(q: float, trials: int, seed: int) -> tuple[float, float]:
     """Empirical (remove, keep) frequencies over forced hit steps.
 
     Every trial queries next to the first exemplar with a matching output,
-    so the hit branch runs unconditionally; the model is restored after a
-    removal to keep the setup fixed.
+    so the hit branch runs unconditionally; the consulted exemplar is
+    inserted again after a removal to keep the setup fixed (its position
+    does not matter: the nearest set is always that one exemplar).
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     config = LearnerConfig(epsilon=0.5, q=q, seed=seed)
-    input_metric = METRICS["euclidean"]
     output_metric = METRICS["absolute_difference"]
-    model = _two_exemplar_model()
-    consulted = model.exemplars[0]
+    index = _two_exemplar_index()
     rng = RandomStream(seed, learner_stream_index(0))
     x, y = (0.1,), 0.0
     removes = 0
     for k in range(1, trials + 1):
-        outcome = step(model, x, y, input_metric, output_metric, config, rng,
-                       step_index=k)
+        outcome = step(index, x, y, output_metric, config, rng, k)
         if outcome.action is Action.REMOVE:
             removes += 1
-            model.exemplars.insert(outcome.sampled_index, consulted)
+            index.insert(*_NEAR)
     return removes / trials, (trials - removes) / trials
 
 
@@ -87,18 +83,16 @@ def forced_miss_experiment(trials: int, seed: int) -> float:
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     config = LearnerConfig(epsilon=0.5, q=0.75, seed=seed)
-    input_metric = METRICS["euclidean"]
     output_metric = METRICS["absolute_difference"]
-    model = _two_exemplar_model()
+    index = _two_exemplar_index()
     rng = RandomStream(seed, learner_stream_index(0))
     x, y = (0.1,), 100.0  # far beyond epsilon from both stored outputs
     inserts = 0
     for k in range(1, trials + 1):
-        outcome = step(model, x, y, input_metric, output_metric, config, rng,
-                       step_index=k)
+        outcome = step(index, x, y, output_metric, config, rng, k)
         if outcome.action is Action.INSERT:
             inserts += 1
-            model.exemplars.pop()  # keep the setup fixed
+            index.remove(len(index) - 1)  # keep the setup fixed
     return inserts / trials
 
 
@@ -144,9 +138,10 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     ``run_index`` selects the learner substream ``learner_stream_index(run_index)``
     (the generator carries its own).  Stream points are drawn as the run
     steps, so memory follows the live model and the windows, not ``steps``.
-    With ``trace_path`` the trace CSV is written there as the run steps; the
-    file is opened only once ``generate_stream`` has returned, so a stream
-    that cannot be generated leaves no file behind.
+    With ``trace_path`` the trace CSV is written there as the run steps, in
+    chunks of ``series_window`` rows; the file is opened only once
+    ``generate_stream`` has returned, so a stream that cannot be generated
+    leaves no file behind.
     """
     if index_kind not in INDEXES:
         raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
@@ -154,36 +149,42 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
         output_metric = METRICS[target.output_metric]
     points = generate_stream(generator, steps)
     rng = RandomStream(config.seed, learner_stream_index(run_index))
-    model = Model()
-    # The index starts empty and is filled through the steps themselves.
+    # The index holds the model; it starts empty and fills through the steps.
     index = INDEXES[index_kind](input_metric)
 
     series_stats = WindowStats(series_window)
     tail = series_stats if tail_window == series_window else WindowStats(tail_window)
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
+    rows: list[str] = []  # trace rows not yet written, at most series_window
     out = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else None
     try:
         if out:
             out.write(TRACE_HEADER + "\n")
         for k, x in enumerate(points, 1):
-            outcome = step(model, x, evaluate(x), input_metric, output_metric,
-                           config, rng, index=index, step_index=k)
+            outcome = step(index, x, evaluate(x), output_metric, config, rng, k)
             series_stats.update(outcome)
             if tail is not series_stats:
                 tail.update(outcome)
             if out:
-                out.write(f"{k},{outcome.action.value},{outcome.model_size_after},"
-                          f"{format_float(outcome.output_distance)},{int(outcome.hit)},"
-                          f"{format_float(series_stats.hit_rate)},"
-                          f"{format_float(series_stats.mean_size_delta)}\n")
+                # format_float inlined: 17 significant digits.
+                rows.append(f"{k},{outcome.action.value},{outcome.model_size_after},"
+                            f"{outcome.output_distance:.17g},{outcome.hit:d},"
+                            f"{series_stats.hit_rate:.17g},"
+                            f"{series_stats.mean_size_delta:.17g}\n")
             if k % series_window == 0:
                 series.append(SeriesPoint(k, outcome.model_size_after,
                                           series_stats.hit_rate,
                                           series_stats.mean_size_delta))
+                if out:
+                    out.write("".join(rows))
+                    rows.clear()
     finally:
         if out:
-            out.close()
+            # Every completed step reaches the file, even when a step
+            # raised; ``with`` closes it even when this write fails.
+            with out:
+                out.write("".join(rows))
     stabilized = abs(tail.mean_size_delta) <= stabilization_delta
     return RunReport(
         config={
@@ -198,7 +199,7 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
             "index": index_kind,
         },
         final_step=steps,
-        final_size=model.size,
+        final_size=len(index),
         tail_window=tail_window,
         tail_hit_rate=tail.hit_rate,
         tail_mean_delta=tail.mean_size_delta,

@@ -5,6 +5,9 @@ the current point sequence whose distance to the query is within
 ``tie_tolerance`` (relative) of the exact minimum.  ``LinearScanIndex``
 is the reference; ``VpTreeIndex`` prunes with the triangle inequality
 and must return the identical position set for any operation sequence.
+Each backend is also the learner's exemplar store: ``insert(point,
+output)`` keeps the output with its point and ``output(position)`` reads
+it back.
 
 The tree answers a query in a single descent.  It keeps every live point
 within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
@@ -16,7 +19,9 @@ the removed points, so the tree's storage follows the live count, not the
 number of points ever inserted.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
-in both backends, so tie comparisons at tolerance 0 are bit-exact.
+in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
+``euclidean_distance`` both call ``math.dist`` itself and turn its
+ValueError into DimensionMismatchError at their own boundary.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .errors import EmptyModelError, PositionOutOfRangeError
-from .metrics import MetricDescriptor
+from .errors import ConfigError, DimensionMismatchError, EmptyModelError, PositionOutOfRangeError
+from .metrics import MetricDescriptor, euclidean_distance
 
 _DEFAULT_LEAF_CAPACITY = 16
 
@@ -33,6 +38,23 @@ _DEFAULT_LEAF_CAPACITY = 16
 # itself): computed distances can violate the triangle inequality by a
 # few ulps, and a pruned subtree cannot be recovered later.
 _PRUNE_SLACK = 1e-9
+
+
+def _resolve(metric: MetricDescriptor):
+    """The distance a backend calls, and the errors that mean a dimension mismatch.
+
+    ``euclidean_distance`` only wraps ``math.dist`` to translate its
+    ValueError, so it is resolved, by identity, to ``math.dist``.  Any
+    other metric, a wrapped euclidean included, is called as given and its
+    errors pass through: ``except ()`` catches nothing.
+    """
+    if metric.distance is euclidean_distance:
+        return math.dist, ValueError
+    return metric.distance, ()
+
+
+def _dimension_error(exc: ValueError) -> DimensionMismatchError:
+    return DimensionMismatchError(f"euclidean distance needs equal dimensions: {exc}")
 
 
 def linear_tie_set(points, x, distance, tie_tolerance: float) -> list[int]:
@@ -55,30 +77,42 @@ def linear_tie_set(points, x, distance, tie_tolerance: float) -> list[int]:
     return [i for i, d in enumerate(ds) if d <= threshold]
 
 
+def _check_position(position: int, n: int) -> None:
+    if not 0 <= position < n:
+        raise PositionOutOfRangeError(f"position {position} not in [0, {n})")
+
+
 class LinearScanIndex:
     """Brute-force backend; the oracle the tree is checked against."""
 
     kind = "linear"
 
     def __init__(self, metric: MetricDescriptor, points=()):
-        self._distance = metric.distance
+        self._distance, self._mismatch = _resolve(metric)
         self._points = list(points)
+        self._outputs = [None] * len(self._points)
 
     def __len__(self) -> int:
         return len(self._points)
 
-    def insert(self, point) -> None:
+    def insert(self, point, output=None) -> None:
         self._points.append(point)
+        self._outputs.append(output)
+
+    def output(self, position: int):
+        _check_position(position, len(self._points))
+        return self._outputs[position]
 
     def remove(self, position: int) -> None:
-        if not 0 <= position < len(self._points):
-            raise PositionOutOfRangeError(
-                f"position {position} not in [0, {len(self._points)})"
-            )
+        _check_position(position, len(self._points))
         del self._points[position]
+        del self._outputs[position]
 
     def query_nearest_set(self, x, tie_tolerance: float = 0.0) -> list[int]:
-        return linear_tie_set(self._points, x, self._distance, tie_tolerance)
+        try:
+            return linear_tie_set(self._points, x, self._distance, tie_tolerance)
+        except self._mismatch as exc:
+            raise _dimension_error(exc) from None
 
 
 class _Node:
@@ -113,10 +147,11 @@ class VpTreeIndex:
 
     def __init__(self, metric: MetricDescriptor, points=(), leaf_capacity: int = _DEFAULT_LEAF_CAPACITY):
         if leaf_capacity < 1:
-            raise ValueError("leaf capacity must be at least 1")
-        self._distance = metric.distance
+            raise ConfigError(f"leaf capacity must be at least 1, got {leaf_capacity}")
+        self._distance, self._mismatch = _resolve(metric)
         self._capacity = leaf_capacity
         self._points: list = []       # by internal id, compacted at rebuild
+        self._outputs: list = []      # by internal id, compacted at rebuild
         self._alive: list[bool] = []  # by internal id
         self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
@@ -127,38 +162,53 @@ class VpTreeIndex:
     def __len__(self) -> int:
         return len(self._ids)
 
+    def output(self, position: int):
+        ids = self._ids
+        _check_position(position, len(ids))
+        return self._outputs[ids[position]]
+
     # -- maintenance ---------------------------------------------------
 
-    def insert(self, point) -> None:
-        pid = len(self._points)
-        self._points.append(point)
-        self._alive.append(True)
-        self._ids.append(pid)
-        if self._root is None:
-            self._root = _Node([pid])
-            return
+    def insert(self, point, output=None) -> None:
+        # Descend before storing anything, so a metric that raises on the
+        # way down leaves the index as it was.
         node = self._root
         dist = self._distance
         pts = self._points
-        while node.bucket is None:
-            node = node.inner if dist(pts[node.vantage], point) <= node.mu else node.outer
-        node.bucket.append(pid)
-        if len(node.bucket) > self._capacity:
-            self._split(node)
+        try:
+            while node is not None and node.bucket is None:
+                node = node.inner if dist(pts[node.vantage], point) <= node.mu else node.outer
+            pid = len(pts)
+            pts.append(point)
+            self._outputs.append(output)
+            self._alive.append(True)
+            self._ids.append(pid)
+            if node is None:
+                self._root = _Node([pid])
+                return
+            node.bucket.append(pid)
+            if len(node.bucket) > self._capacity:
+                self._split(node)
+        except self._mismatch as exc:
+            raise _dimension_error(exc) from None
 
     def remove(self, position: int) -> None:
-        n = len(self._ids)
-        if not 0 <= position < n:
-            raise PositionOutOfRangeError(f"position {position} not in [0, {n})")
+        _check_position(position, len(self._ids))
         self._alive[self._ids.pop(position)] = False
         self._dead += 1
         if self._dead * 2 > len(self._ids):
-            self._rebuild()
+            try:
+                self._rebuild()
+            except self._mismatch as exc:
+                raise _dimension_error(exc) from None
 
     def _rebuild(self) -> None:
+        ids = self._ids
         pts = self._points
-        self._points = [pts[i] for i in self._ids]
-        n = len(self._points)
+        outputs = self._outputs
+        self._points = [pts[i] for i in ids]
+        self._outputs = [outputs[i] for i in ids]
+        n = len(ids)
         self._alive = [True] * n
         self._ids = list(range(n))
         self._dead = 0
@@ -214,17 +264,32 @@ class VpTreeIndex:
         widen = 1.0 + tie_tolerance
         best = bound = math.inf
         found = []
-        # Entries: (node, parent vantage distance, parent mu, side); the
-        # prune test runs at pop time against the tightened bound.
-        stack = [(self._root, 0.0, 0.0, 0)]
-        while stack:
-            node, dv, mu, side = stack.pop()
-            if side == 1 and dv > (mu + bound) * (1.0 + _PRUNE_SLACK):
-                continue
-            if side == 2 and dv < (mu - bound) * (1.0 - _PRUNE_SLACK):
-                continue
-            bucket = node.bucket
-            if bucket is not None:
+        # Far children wait as (node, parent vantage distance, parent mu,
+        # is inner); the prune test runs at pop time against the tightened
+        # bound.
+        far = []
+        node = self._root
+        try:
+            while node is not None:
+                bucket = node.bucket
+                if bucket is None:
+                    vantage = node.vantage
+                    dv = dist(pts[vantage], x)
+                    if alive[vantage] and dv <= bound:
+                        found.append((vantage, dv))
+                        if dv < best:
+                            best = dv
+                            bound = best * widen
+                    mu = node.mu
+                    # The near child can never be pruned (dv <= mu <= mu + bound,
+                    # or dv > mu >= mu - bound), so descend into it at once.
+                    if dv <= mu:
+                        far.append((node.outer, dv, mu, False))
+                        node = node.inner
+                    else:
+                        far.append((node.inner, dv, mu, True))
+                        node = node.outer
+                    continue
                 for pid in bucket:
                     if alive[pid]:
                         d = dist(pts[pid], x)
@@ -233,22 +298,17 @@ class VpTreeIndex:
                             if d < best:
                                 best = d
                                 bound = best * widen
-                continue
-            vantage = node.vantage
-            dv = dist(pts[vantage], x)
-            if alive[vantage] and dv <= bound:
-                found.append((vantage, dv))
-                if dv < best:
-                    best = dv
-                    bound = best * widen
-            mu = node.mu
-            # Far child first so the near child pops first and shrinks best.
-            if dv <= mu:
-                stack.append((node.outer, dv, mu, 2))
-                stack.append((node.inner, dv, mu, 1))
-            else:
-                stack.append((node.inner, dv, mu, 1))
-                stack.append((node.outer, dv, mu, 2))
+                node = None
+                while far:
+                    child, dv, mu, inner = far.pop()
+                    if inner and dv > (mu + bound) * (1.0 + _PRUNE_SLACK):
+                        continue
+                    if not inner and dv < (mu - bound) * (1.0 - _PRUNE_SLACK):
+                        continue
+                    node = child
+                    break
+        except self._mismatch as exc:
+            raise _dimension_error(exc) from None
         # bound is now best * (1 + tol) for the exact minimum best, the same
         # threshold linear_tie_set applies (best * 1.0 == best at tol 0).
         ids = self._ids

@@ -1,10 +1,12 @@
-"""The exemplar model, its per-step update rule, and prediction.
+"""The per-step update rule of the exemplar model, and prediction.
 
-A model is an ordered multiset of (input, observed output) exemplars.
-Each step consults a uniformly sampled nearest exemplar; if its stored
-output is farther than ``epsilon`` from the observed output the new pair
-is inserted, otherwise the consulted exemplar itself is removed with
-probability ``1/q - 1`` and kept with probability ``2 - 1/q``.
+The model is an ordered multiset of (input, observed output) exemplars,
+held by a nearest-set index (``index.LinearScanIndex`` or
+``index.VpTreeIndex``) in insertion order.  Each step consults a
+uniformly sampled nearest exemplar; if its stored output is farther than
+``epsilon`` from the observed output the new pair is inserted, otherwise
+the consulted exemplar itself is removed with probability ``1/q - 1`` and
+kept with probability ``2 - 1/q``.
 
 Per-step randomness consumption is fixed and part of the reproducibility
 contract: first the tie-break draw(s) of the nearest-set sample, then,
@@ -14,12 +16,12 @@ only on a hit, exactly one unit draw for the removal coin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigError, EmptyModelError, EmptyStreamError, PositionOutOfRangeError
-from .index import linear_tie_set
+from .errors import ConfigError, EmptyStreamError
+from .index import LinearScanIndex
 from .metrics import MetricDescriptor
 from .rng import RandomStream, learner_stream_index, sample_uniform
 
@@ -66,41 +68,6 @@ class LearnerConfig:
 
 
 @dataclass(slots=True)
-class Exemplar:
-    """A stored input point and the output observed for it at insertion."""
-
-    input: object
-    output: object
-
-
-@dataclass
-class Model:
-    """Ordered exemplar multiset; order is insertion order."""
-
-    exemplars: list[Exemplar] = field(default_factory=list)
-    insertion_counter: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.exemplars)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.exemplars
-
-    def append(self, exemplar: Exemplar) -> None:
-        self.exemplars.append(exemplar)
-        self.insertion_counter += 1
-
-    def remove_at(self, position: int) -> Exemplar:
-        if not 0 <= position < len(self.exemplars):
-            raise PositionOutOfRangeError(
-                f"position {position} not in [0, {len(self.exemplars)})"
-            )
-        return self.exemplars.pop(position)
-
-
-@dataclass(slots=True)
 class StepOutcome:
     """Full record of one update step."""
 
@@ -113,26 +80,13 @@ class StepOutcome:
     size_delta: int
 
 
-def nearest_set(x, model: Model, metric: MetricDescriptor,
-                tie_tolerance: float = 0.0) -> list[int]:
-    """Ascending positions of all exemplars at (tie-band) minimal distance."""
-    if model.is_empty:
-        raise EmptyModelError("nearest-set query against an empty model")
-    return linear_tie_set(
-        (ex.input for ex in model.exemplars), x, metric.distance, tie_tolerance
-    )
-
-
-def predict(model: Model, x, metric: MetricDescriptor, config: LearnerConfig,
-            rng: RandomStream):
-    """Stored output of a uniformly sampled nearest exemplar.
+def predict(index, x, config: LearnerConfig, rng: RandomStream):
+    """Stored output of a uniformly sampled nearest exemplar of ``index``.
 
     Randomized: every call draws fresh tie-break randomness from ``rng``.
+    An empty index raises EmptyModelError.
     """
-    if model.is_empty:
-        raise EmptyModelError("cannot predict from an empty model")
-    candidates = nearest_set(x, model, metric, config.tie_tolerance)
-    return model.exemplars[sample_uniform(candidates, rng)].output
+    return index.output(sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng))
 
 
 def resolve_hit_action(remove_probability: float, rng: RandomStream) -> Action:
@@ -140,58 +94,45 @@ def resolve_hit_action(remove_probability: float, rng: RandomStream) -> Action:
     return Action.REMOVE if rng.next_unit() < remove_probability else Action.KEEP
 
 
-def step(model: Model, x, y_true, input_metric: MetricDescriptor,
-         output_metric: MetricDescriptor, config: LearnerConfig,
-         rng: RandomStream, index=None, step_index: int = 1) -> StepOutcome:
-    """Apply one observation (x, y_true) to the model in place.
+def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfig,
+         rng: RandomStream, step_index: int = 1) -> StepOutcome:
+    """Apply one observation (x, y_true) to the exemplars held by ``index``.
 
-    When ``index`` is given it must mirror the model's input points; it is
-    queried instead of a linear scan and kept in sync with the mutation.
-    An empty model forces an insert (infinite output distance, no hit, no
+    An empty index forces an insert (infinite output distance, no hit, no
     randomness consumed).
     """
-    if model.is_empty:
-        model.append(Exemplar(x, y_true))
-        if index is not None:
-            index.insert(x)
-        return StepOutcome(step_index, None, math.inf, False, Action.INSERT,
-                           model.size, +1)
+    n = len(index)
+    if not n:
+        index.insert(x, y_true)
+        return StepOutcome(step_index, None, math.inf, False, Action.INSERT, 1, +1)
 
-    if index is not None:
-        candidates = index.query_nearest_set(x, config.tie_tolerance)
-    else:
-        candidates = nearest_set(x, model, input_metric, config.tie_tolerance)
-    sampled = sample_uniform(candidates, rng)
-    d = output_metric.distance(model.exemplars[sampled].output, y_true)
+    sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
+    d = output_metric.distance(index.output(sampled), y_true)
 
     if d > config.epsilon:
-        model.append(Exemplar(x, y_true))
-        if index is not None:
-            index.insert(x)
-        return StepOutcome(step_index, sampled, d, False, Action.INSERT,
-                           model.size, +1)
+        index.insert(x, y_true)
+        return StepOutcome(step_index, sampled, d, False, Action.INSERT, n + 1, +1)
 
-    action = resolve_hit_action(config.remove_probability, rng)
-    if action is Action.REMOVE:
-        model.remove_at(sampled)
-        if index is not None:
-            index.remove(sampled)
-        return StepOutcome(step_index, sampled, d, True, Action.REMOVE,
-                           model.size, -1)
-    return StepOutcome(step_index, sampled, d, True, Action.KEEP, model.size, 0)
+    if resolve_hit_action(config.remove_probability, rng) is Action.REMOVE:
+        index.remove(sampled)
+        return StepOutcome(step_index, sampled, d, True, Action.REMOVE, n - 1, -1)
+    return StepOutcome(step_index, sampled, d, True, Action.KEEP, n, 0)
 
 
 def run_stream(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
                output_metric: MetricDescriptor, rng: Optional[RandomStream] = None,
-               index=None, model: Optional[Model] = None) -> list[StepOutcome]:
-    """Materialized trace of a whole stream; the stream must be nonempty."""
+               index=None) -> list[StepOutcome]:
+    """Materialized trace of a whole stream; the stream must be nonempty.
+
+    ``index`` holds the exemplars and is updated in place; by default a
+    fresh ``LinearScanIndex`` over ``input_metric``.
+    """
     pairs = list(pairs)
     if not pairs:
         raise EmptyStreamError("run_stream needs at least one (point, value) pair")
     if rng is None:
         rng = RandomStream(config.seed, learner_stream_index(0))
-    if model is None:
-        model = Model()
-    return [step(model, x, y, input_metric, output_metric, config, rng,
-                 index=index, step_index=k)
+    if index is None:
+        index = LinearScanIndex(input_metric)
+    return [step(index, x, y, output_metric, config, rng, k)
             for k, (x, y) in enumerate(pairs, 1)]

@@ -17,7 +17,7 @@ so parallel runs of a sweep never share randomness.
 
 from __future__ import annotations
 
-from .errors import EmptyCandidatesError
+from .errors import ConfigError, EmptyCandidatesError
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -60,10 +60,9 @@ class RandomStream:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if stream < 0:
-            raise ValueError("stream index must be a nonnegative integer")
+        if seed < 0 or stream < 0:
+            raise ConfigError(f"seed and stream index must be nonnegative integers, "
+                              f"got seed {seed}, stream {stream}")
         self._state = _mix((seed + (stream + 1) * _GAMMA) & _MASK)
 
     @property
@@ -84,7 +83,7 @@ class RandomStream:
     def next_below(self, m: int) -> int:
         """Uniform integer in [0, m) via rejection; no modulo bias."""
         if m <= 0:
-            raise ValueError("upper bound must be positive")
+            raise ConfigError(f"upper bound must be positive, got {m}")
         # Accept u < limit where limit is the largest multiple of m <= 2**64.
         limit = ((1 << 64) // m) * m
         u = self.next_u64()
@@ -98,9 +97,13 @@ def sample_uniform(candidates, rng: RandomStream):
 
     Always consumes at least one draw, including for a single candidate,
     so the draw count depends only on the collection size and the stream
-    state, never on the contents.
+    state, never on the contents.  A single candidate takes exactly the
+    one draw ``next_below(1)`` would, since its first draw always passes.
     """
     n = len(candidates)
+    if n == 1:
+        rng.next_u64()
+        return candidates[0]
     if n == 0:
         raise EmptyCandidatesError("cannot sample from an empty candidate list")
     return candidates[rng.next_below(n)]

@@ -58,9 +58,9 @@ class IidUniform:
 
     def points(self, length: int) -> Iterator[tuple]:
         unit = RandomStream(self.seed, self.stream).next_unit
-        bounds = self.bounds
+        boxes = [(lo, hi - lo) for lo, hi in self.bounds]
         for _ in range(length):
-            yield tuple(lo + unit() * (hi - lo) for lo, hi in bounds)
+            yield tuple([lo + unit() * width for lo, width in boxes])
 
 
 @dataclass(frozen=True)

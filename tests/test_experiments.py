@@ -26,7 +26,7 @@ from protostream.experiments import (
 )
 from protostream.index import INDEX_KINDS
 from protostream.learner import LearnerConfig
-from protostream.metrics import METRICS, TARGETS
+from protostream.metrics import METRICS, TARGETS, TargetFunction
 from protostream.rng import points_stream_index
 from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
 
@@ -183,3 +183,24 @@ def test_trace_size_is_running_sum_of_deltas(seed, q, epsilon, stream, index_kin
         size += _DELTA[row.action]
         assert row.model_size == size
     assert size == report.final_size
+
+
+def test_trace_keeps_every_completed_step_when_a_step_raises(tmp_path):
+    # Rows are written in chunks of series_window; a step that raises
+    # between two chunks must not lose the rows buffered before it.
+    calls = 0
+
+    def evaluate(p):
+        nonlocal calls
+        calls += 1
+        if calls == 1500:
+            raise RuntimeError("target failed")
+        return 0.0
+
+    target = TargetFunction("failing", evaluate, "absolute_difference", ((0.0, 1.0),))
+    path = str(tmp_path / "trace.csv")
+    with pytest.raises(RuntimeError):
+        theorem_experiment(target, EUCLID, LearnerConfig(epsilon=0.1, q=0.9),
+                           IidUniform(target.domain, 0), 3000,
+                           series_window=1000, trace_path=path)
+    assert [row.n for row in read_trace(path)] == list(range(1, 1500))

@@ -1,12 +1,20 @@
 """Nearest-set backends: linear oracle vs vantage-point tree."""
 
+import hashlib
+import math
+
 import pytest
 
-from protostream.errors import ConfigError, EmptyModelError, PositionOutOfRangeError
+from protostream.errors import (
+    ConfigError,
+    DimensionMismatchError,
+    EmptyModelError,
+    PositionOutOfRangeError,
+)
 from protostream.experiments import theorem_experiment
 from protostream.index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
 from protostream.learner import LearnerConfig
-from protostream.metrics import METRICS, TARGETS
+from protostream.metrics import METRICS, TARGETS, MetricDescriptor
 from protostream.rng import RandomStream
 
 EUCLID = METRICS["euclidean"]
@@ -165,3 +173,123 @@ def test_vptree_handles_duplicate_heavy_inserts():
     idx.insert((5.0, 5.0))
     assert idx.query_nearest_set((5.0, 5.0), 0.0) == [100]
     assert idx.query_nearest_set((0.0, 0.0), 0.0) == list(range(100))
+
+
+def test_leaf_capacity_below_one_rejected():
+    with pytest.raises(ConfigError):
+        VpTreeIndex(EUCLID, leaf_capacity=0)
+
+
+def test_outputs_follow_positions_through_rebuilds():
+    rng = RandomStream(66, 0)
+    lin = LinearScanIndex(EUCLID)
+    vpt = VpTreeIndex(EUCLID)
+    for phase, count in [("insert", 300), ("remove", 270), ("insert", 100)]:
+        for k in range(count):
+            if phase == "insert":
+                p = _random_point(rng, 2)
+                lin.insert(p, (phase, k))
+                vpt.insert(p, (phase, k))
+            else:
+                pos = rng.next_below(len(lin))
+                lin.remove(pos)
+                vpt.remove(pos)
+    assert [vpt.output(i) for i in range(len(vpt))] == \
+           [lin.output(i) for i in range(len(lin))]
+    # one-argument inserts store None
+    vpt.insert((0.5, 0.5))
+    assert vpt.output(len(vpt) - 1) is None
+    for idx in (lin, vpt):
+        with pytest.raises(PositionOutOfRangeError):
+            idx.output(len(idx))
+        with pytest.raises(PositionOutOfRangeError):
+            idx.output(-1)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+def test_failed_insert_leaves_the_tree_unchanged(metric):
+    # The metric raises on the way down; no live position may be left
+    # behind in no bucket.
+    m = METRICS[metric]
+    rng = RandomStream(8, 0)
+    idx = VpTreeIndex(m, [_random_point(rng, 1) for _ in range(40)])
+    queries = [_random_point(rng, 1) for _ in range(20)]
+    before = [idx.query_nearest_set(x, 0.0) for x in queries]
+    with pytest.raises(DimensionMismatchError):
+        idx.insert((1.0, 2.0))
+    assert len(idx) == 40
+    assert [idx.query_nearest_set(x, 0.0) for x in queries] == before
+
+
+def test_euclidean_dimension_mismatch_is_not_a_value_error():
+    for kind in ("linear", "vptree"):
+        idx = INDEXES[kind](EUCLID, [(float(i),) for i in range(40)])
+        with pytest.raises(DimensionMismatchError):
+            idx.query_nearest_set((1.0, 2.0))
+        # A one-point index stores a new point without measuring it (the
+        # tree has no vantage point yet); the next query meets it.
+        idx = INDEXES[kind](EUCLID, [(0.0,)])
+        idx.insert((1.0, 2.0))
+        with pytest.raises(DimensionMismatchError):
+            idx.query_nearest_set((0.0,))
+    # A larger tree measures a new point on its way down.
+    with pytest.raises(DimensionMismatchError):
+        VpTreeIndex(EUCLID, [(float(i),) for i in range(40)]).insert((1.0, 2.0))
+    # Once a mismatched point is stored, every split of its leaf fails: at
+    # insert, and at the rebuild a removal starts.
+    tree = VpTreeIndex(EUCLID, [(0.0,), (1.0, 2.0)], leaf_capacity=2)
+    for i in range(2, 6):
+        with pytest.raises(DimensionMismatchError):
+            tree.insert((float(i),))
+    with pytest.raises(DimensionMismatchError):
+        for _ in range(3):
+            tree.remove(len(tree) - 1)
+
+
+def test_other_metrics_errors_pass_through():
+    # Only euclidean_distance itself is resolved to math.dist; a metric
+    # that calls math.dist on its own keeps its ValueError.
+    raw = MetricDescriptor("raw", math.dist)
+    for kind in ("linear", "vptree"):
+        idx = INDEXES[kind](raw, [(float(i),) for i in range(40)])
+        with pytest.raises(ValueError):
+            idx.query_nearest_set((1.0, 2.0))
+
+
+# Call count and SHA-256 of every distance(stored, query) call the tree
+# made in _counted_session, taken from the two-stack descent that pushed
+# both children per node; the near-child descent must make the same calls.
+_SESSION_CALLS = {
+    0.0: (23228, "2ffba989765cf2584ec1b1c5a3523ec7624fda8fb2418908add407647b03d98d"),
+    0.25: (24929, "5d70e0ee6e4643569f1d57ea6b5c36650215a0d3dbe4bce8ee0e2d583d163eba"),
+}
+
+
+@pytest.mark.parametrize("tie_tol", sorted(_SESSION_CALLS))
+def test_tree_distance_calls_are_pinned(tie_tol):
+    calls = []
+
+    def distance(stored, query):
+        calls.append(f"{stored!r}|{query!r}")
+        return EUCLID.distance(stored, query)
+
+    idx = VpTreeIndex(MetricDescriptor("counted", distance))
+    rng = RandomStream(2024, 0)
+
+    def point():
+        # Half the coordinates on an integer lattice, so ties are common.
+        return tuple(float(rng.next_below(6)) if rng.next_below(2) else rng.next_unit() * 5.0
+                     for _ in range(2))
+
+    # Grow, shrink and regrow: each shrink leaves enough tombstones to
+    # rebuild the tree.
+    for op, count in [("insert", 300), ("remove", 280), ("insert", 150),
+                      ("remove", 100), ("insert", 60)]:
+        for _ in range(count):
+            if op == "insert":
+                idx.insert(point())
+            else:
+                idx.remove(rng.next_below(len(idx)))
+            idx.query_nearest_set(point(), tie_tol)
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    assert (len(calls), digest) == _SESSION_CALLS[tie_tol]

@@ -5,13 +5,10 @@ import math
 import pytest
 
 from protostream.errors import ConfigError, EmptyModelError, EmptyStreamError
-from protostream.index import VpTreeIndex
+from protostream.index import LinearScanIndex, VpTreeIndex
 from protostream.learner import (
     Action,
-    Exemplar,
     LearnerConfig,
-    Model,
-    nearest_set,
     predict,
     run_stream,
     step,
@@ -24,7 +21,10 @@ ABSDIFF = METRICS["absolute_difference"]
 
 
 def _model(*pairs):
-    return Model(exemplars=[Exemplar(x, y) for x, y in pairs])
+    index = LinearScanIndex(EUCLID)
+    for x, y in pairs:
+        index.insert(x, y)
+    return index
 
 
 def test_config_properties_are_complementary():
@@ -59,25 +59,25 @@ def test_config_rejects_non_finite_tie_tolerance(bad):
 
 def test_nearest_set_single_and_ties():
     m = _model(((0.0,), 1.0), ((2.0,), 5.0))
-    assert nearest_set((0.1,), m, EUCLID) == [0]
-    assert nearest_set((1.0,), m, EUCLID) == [0, 1]
+    assert m.query_nearest_set((0.1,)) == [0]
+    assert m.query_nearest_set((1.0,)) == [0, 1]
 
 
 def test_nearest_set_empty_model_rejected():
     with pytest.raises(EmptyModelError):
-        nearest_set((0.0,), Model(), EUCLID)
+        _model().query_nearest_set((0.0,))
 
 
 def test_predict_singleton_returns_stored_output():
     m = _model(((0.0,), 7.0))
     rng = RandomStream(0, 0)
     for _ in range(5):
-        assert predict(m, (3.0,), EUCLID, LearnerConfig(epsilon=1.0, q=0.5), rng) == 7.0
+        assert predict(m, (3.0,), LearnerConfig(epsilon=1.0, q=0.5), rng) == 7.0
 
 
 def test_predict_empty_model_rejected():
     with pytest.raises(EmptyModelError):
-        predict(Model(), (0.0,), EUCLID, LearnerConfig(epsilon=1.0, q=0.5),
+        predict(_model(), (0.0,), LearnerConfig(epsilon=1.0, q=0.5),
                 RandomStream(0, 0))
 
 
@@ -87,7 +87,7 @@ def test_predict_tie_splits_evenly():
     rng = RandomStream(13, 0)
     trials = 100_000
     ones = sum(
-        1 for _ in range(trials) if predict(m, (1.0,), EUCLID, config, rng) == 1.0
+        1 for _ in range(trials) if predict(m, (1.0,), config, rng) == 1.0
     )
     assert abs(ones / trials - 0.5) <= 0.01
 
@@ -95,13 +95,13 @@ def test_predict_tie_splits_evenly():
 def test_step_miss_inserts_observed_pair():
     m = _model(((0.0,), 0.0))
     config = LearnerConfig(epsilon=0.5, q=0.75)
-    outcome = step(m, (0.2,), 9.0, EUCLID, ABSDIFF, config, RandomStream(1, 0))
+    outcome = step(m, (0.2,), 9.0, ABSDIFF, config, RandomStream(1, 0))
     assert outcome.action is Action.INSERT
     assert not outcome.hit
     assert outcome.size_delta == 1
     assert outcome.model_size_after == 2
-    assert m.exemplars[-1].input == (0.2,)
-    assert m.exemplars[-1].output == 9.0
+    assert m.query_nearest_set((0.2,)) == [1]
+    assert m.output(1) == 9.0
 
 
 def test_step_hit_at_half_always_removes_sampled():
@@ -110,28 +110,29 @@ def test_step_hit_at_half_always_removes_sampled():
     for trial in range(200):
         # two exemplars tied at the query; outputs distinguish them
         m = _model(((0.0,), 1.0), ((0.0,), 1.01))
-        outcome = step(m, (0.0,), 1.0, EUCLID, ABSDIFF, config, rng)
+        outcome = step(m, (0.0,), 1.0, ABSDIFF, config, rng)
         assert outcome.hit
         assert outcome.action is Action.REMOVE
         assert outcome.size_delta == -1
-        survivor = m.exemplars[0].output
+        survivor = m.output(0)
         removed_was = 1.0 if survivor == 1.01 else 1.01
         expected = 1.0 if outcome.sampled_index == 0 else 1.01
         assert removed_was == expected
 
 
 def test_step_empty_model_forced_insert_consumes_no_draws():
-    m = Model()
+    m = _model()
     config = LearnerConfig(epsilon=0.5, q=0.75)
     rng = RandomStream(3, 0)
     before = rng.state
-    outcome = step(m, (1.0,), 2.0, EUCLID, ABSDIFF, config, rng)
+    outcome = step(m, (1.0,), 2.0, ABSDIFF, config, rng)
     assert rng.state == before
     assert outcome.action is Action.INSERT
     assert not outcome.hit
     assert outcome.output_distance == math.inf
     assert outcome.sampled_index is None
-    assert m.size == 1
+    assert len(m) == 1
+    assert m.output(0) == 2.0
 
 
 def test_step_hit_keep_leaves_model_alone():
@@ -141,10 +142,10 @@ def test_step_hit_keep_leaves_model_alone():
     kept = 0
     for _ in range(300):
         m = _model(((0.0,), 1.0))
-        outcome = step(m, (0.0,), 1.0, EUCLID, ABSDIFF, config, rng)
+        outcome = step(m, (0.0,), 1.0, ABSDIFF, config, rng)
         if outcome.action is Action.KEEP:
             kept += 1
-            assert m.size == 1
+            assert len(m) == 1
             assert outcome.size_delta == 0
     assert kept > 270
 
@@ -156,7 +157,7 @@ def test_forced_hits_remove_frequency_tracks_q():
     removes = 0
     for _ in range(trials):
         m = _model(((0.0,), 1.0))
-        outcome = step(m, (0.0,), 1.0, EUCLID, ABSDIFF, config, rng)
+        outcome = step(m, (0.0,), 1.0, ABSDIFF, config, rng)
         if outcome.action is Action.REMOVE:
             removes += 1
     assert abs(removes / trials - 0.25) <= 0.01

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protostream.errors import EmptyCandidatesError
+from protostream.errors import ConfigError, EmptyCandidatesError
 from protostream.rng import (
     _GAMMA,
     _MASK,
@@ -88,14 +88,14 @@ def test_next_below_covers_all_residues():
 
 def test_next_below_rejects_nonpositive():
     rng = RandomStream(0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         rng.next_below(0)
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RandomStream(-1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         RandomStream(0, -2)
 
 
