@@ -6,6 +6,12 @@ error, 3 output I/O error.
 Every run goes through ``experiments.theorem_experiment``, which also
 writes the trace CSV; the trace format (``TRACE_HEADER``, the writer and
 ``read_trace``) lives in ``experiments`` and is re-exported here.
+
+``sweep`` and ``verify`` run their independent experiments through one
+pool helper, ``_map_tasks``: ``--jobs`` worker processes (default: the CPU
+count; never more than there are tasks), or this process alone at
+``--jobs 1``.  Results are collected in task order, so the output does not
+depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -93,7 +99,8 @@ KEYS = {
     "q_list": _Key(_float_list, None, ("sweep",)),
     "epsilon_list": _Key(_float_list, None, ("sweep",)),
     "seed_list": _Key(_int_list, None, ("sweep",)),
-    "jobs": _Key(int, None, ("sweep",), count=True),
+    "jobs": _Key(int, None, ("sweep", "verify"), help="worker processes (default: CPU count)",
+                 count=True),
     "branch_trials": _Key(int, 100_000, ("verify",), count=True),
     "miss_trials": _Key(int, 10_000, ("verify",), count=True),
     "growth_steps": _Key(int, 100_000, ("verify",), count=True),
@@ -224,6 +231,7 @@ def _plan_runs(v: dict) -> list:
             generator = IidUniform(bounds, seed, stream_index)
         elif v["stream"] == "grid":
             generator = GridSweep(v["grid_resolution"], bounds, seed, stream_index)
+            generator.check_length(v["steps"])
         else:
             generator = RandomWalk(v["walk_scale"], bounds, seed, stream_index)
         runs.append((config, generator))
@@ -258,8 +266,22 @@ def cmd_run(cfg: CliConfig) -> int:
 # -- sweep ----------------------------------------------------------------
 
 
-def _sweep_worker(payload: tuple) -> dict:
-    v, config, generator, run_index, trace_path = payload
+def _map_tasks(fn, tasks: list, jobs: Optional[int]) -> list:
+    """``[fn(*task) for task in tasks]``, in worker processes when ``jobs`` > 1.
+
+    ``jobs`` None means the CPU count.  Results come back in task order, and
+    the pool gets no more workers than tasks: under fork every worker starts
+    at once.  Tasks are handed out in list order, so put the longest first.
+    """
+    workers = min(jobs or os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*task) for task in tasks]
+
+
+def _sweep_worker(v: dict, config: LearnerConfig, generator, run_index: int,
+                  trace_path: str) -> dict:
     report = _drive(v, config, generator, run_index, trace_path)
     return {
         "q": config.q, "epsilon": config.epsilon, "seed": config.seed,
@@ -279,19 +301,12 @@ def cmd_sweep(cfg: CliConfig) -> int:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 3
 
-    payloads = []
+    tasks = []
     for run_index, (config, generator) in enumerate(cfg.runs):
         name = f"trace_q{config.q:g}_eps{config.epsilon:g}_seed{config.seed}.csv"
-        payloads.append((v, config, generator, run_index, os.path.join(out_dir, name)))
-
-    # Never more workers than runs: under fork every worker starts at once.
-    jobs = min(v["jobs"] or os.cpu_count() or 1, len(payloads))
+        tasks.append((v, config, generator, run_index, os.path.join(out_dir, name)))
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(pool.map(_sweep_worker, payloads))
-        else:
-            rows = [_sweep_worker(p) for p in payloads]
+        rows = _map_tasks(_sweep_worker, tasks, v["jobs"])
     except OSError as exc:
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
         return 3
@@ -318,6 +333,7 @@ def cmd_sweep(cfg: CliConfig) -> int:
 BRANCH_QS = (0.5, 0.6, 0.75, 0.9)
 GROWTH_PS = (0.0, 0.25, 0.5, 0.75, 1.0)
 GROWTH_QS = (0.5, 0.75, 0.9)
+GROWTH_CELLS = tuple(product(GROWTH_PS, GROWTH_QS))
 THEOREM_QS = (0.5, 0.75, 0.9)
 
 BRANCH_TOL = 0.01
@@ -325,6 +341,38 @@ HIT_DELTA_TOL = 0.015
 GROWTH_TOL = 0.01
 STABILIZATION_TOL = 0.01
 THEOREM_HIT_TOL = 0.03
+
+# verify's experiments as (kind, i), longest first, so that the pool's
+# workers finish close together; the checks are printed in their own order.
+VERIFY_TASKS = ([("theorem", i) for i in range(len(THEOREM_QS))]
+                + [("branch", i) for i in range(len(BRANCH_QS))]
+                + [("growth", i) for i in range(len(GROWTH_CELLS))]
+                + [("miss", 0)])
+
+
+def _verify_task(v: dict, kind: str, i: int):
+    """Run experiment ``i`` of ``kind``; return only what its checks need."""
+    base_seed = v["seed"]
+    if kind == "branch":
+        remove_freq, _keep_freq = conditional_branch_experiment(
+            BRANCH_QS[i], v["branch_trials"], base_seed + i)
+        return remove_freq
+    if kind == "miss":
+        return forced_miss_experiment(v["miss_trials"], base_seed + 17)
+    if kind == "growth":
+        # --inject-removal-probability replaces the removal coin of these
+        # runs only: they are the checks a wrong coin must fail.
+        p, q = GROWTH_CELLS[i]
+        return growth_identity_experiment(p, q, v["growth_steps"], base_seed + 100 + i,
+                                          v["inject_removal_probability"])
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.05, q=THEOREM_QS[i], seed=base_seed + 200 + i)
+    generator = IidUniform(target.domain, config.seed, points_stream_index(0))
+    report = theorem_experiment(
+        target, METRICS["euclidean"], config, generator, v["theorem_steps"],
+        tail_window=v["tail_window"], series_window=v["window"],
+        stabilization_delta=v["delta"], index_kind=v["index"])
+    return report.tail_mean_delta, report.stabilized, report.tail_hit_rate
 
 
 def _check(lines: list, name: str, measured: float, expected: float,
@@ -342,13 +390,13 @@ def _check(lines: list, name: str, measured: float, expected: float,
 
 def cmd_verify(cfg: CliConfig) -> int:
     v = cfg.values
-    base_seed = v["seed"]
+    results = dict(zip(VERIFY_TASKS, _map_tasks(
+        _verify_task, [(v, kind, i) for kind, i in VERIFY_TASKS], v["jobs"])))
     lines: list[str] = []
     ok = True
 
     for i, q in enumerate(BRANCH_QS):
-        remove_freq, _keep_freq = conditional_branch_experiment(
-            q, v["branch_trials"], base_seed + i)
+        remove_freq = results["branch", i]
         expected = 1.0 / q - 1.0
         tol = None if q == 0.5 else BRANCH_TOL
         ok &= _check(lines, f"conditional-branch q={q:g} remove_frequency",
@@ -357,35 +405,21 @@ def cmd_verify(cfg: CliConfig) -> int:
                      -remove_freq, 1.0 - 1.0 / q,
                      None if q == 0.5 else HIT_DELTA_TOL)
 
-    insert_fraction = forced_miss_experiment(v["miss_trials"], base_seed + 17)
-    ok &= _check(lines, "miss-branch insert_fraction", insert_fraction, 1.0, None)
+    ok &= _check(lines, "miss-branch insert_fraction", results["miss", 0], 1.0, None)
 
-    # --inject-removal-probability replaces the removal coin of these runs
-    # only: they are the checks a wrong coin must fail.
-    for i, (p, q) in enumerate(product(GROWTH_PS, GROWTH_QS)):
-        measured = growth_identity_experiment(p, q, v["growth_steps"],
-                                              base_seed + 100 + i,
-                                              v["inject_removal_probability"])
+    for i, (p, q) in enumerate(GROWTH_CELLS):
         expected = 1.0 - p / q
         exact = p == 0.0 or (p == 1.0 and q == 0.5)
         ok &= _check(lines, f"growth-identity p={p:g} q={q:g} mean_delta",
-                     measured, expected, None if exact else GROWTH_TOL)
+                     results["growth", i], expected, None if exact else GROWTH_TOL)
 
-    target = TARGETS["sine_1d"]
-    input_metric = METRICS["euclidean"]
     for i, q in enumerate(THEOREM_QS):
-        config = LearnerConfig(epsilon=0.05, q=q, seed=base_seed + 200 + i)
-        generator = IidUniform(target.domain, config.seed,
-                               points_stream_index(0))
-        report = theorem_experiment(
-            target, input_metric, config, generator, v["theorem_steps"],
-            tail_window=v["tail_window"], series_window=v["window"],
-            stabilization_delta=v["delta"], index_kind=v["index"])
+        tail_mean_delta, stabilized, tail_hit_rate = results["theorem", i]
         ok &= _check(lines, f"theorem q={q:g} tail_mean_delta",
-                     report.tail_mean_delta, 0.0, STABILIZATION_TOL)
-        if report.stabilized:
+                     tail_mean_delta, 0.0, STABILIZATION_TOL)
+        if stabilized:
             ok &= _check(lines, f"theorem q={q:g} tail_hit_rate",
-                         report.tail_hit_rate, q, THEOREM_HIT_TOL)
+                         tail_hit_rate, q, THEOREM_HIT_TOL)
         else:
             lines.append(f"[FAIL] theorem q={q:g} tail_hit_rate: "
                          f"not evaluated, size did not stabilize")

@@ -22,6 +22,12 @@ Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
 ``euclidean_distance`` both call ``math.dist`` itself and turn its
 ValueError into DimensionMismatchError at their own boundary.
+
+Neither backend checks a point's dimension when it does not measure it:
+``LinearScanIndex`` never measures on insert, and the tree does not while
+its root is still a leaf.  Such a point is stored, and the next query
+raises DimensionMismatchError.  An insert that raises, on the way down or
+in the split of an overflowing leaf, leaves the index as it was.
 """
 
 from __future__ import annotations
@@ -186,21 +192,33 @@ class VpTreeIndex:
             if node is None:
                 self._root = _Node([pid])
                 return
-            node.bucket.append(pid)
-            if len(node.bucket) > self._capacity:
-                self._split(node)
+            bucket = node.bucket
+            bucket.append(pid)
+            if len(bucket) > self._capacity:
+                try:
+                    self._split(node)
+                except Exception:
+                    # Only the split's first distance pass measures the new
+                    # point, and it runs before any node changes; later
+                    # passes compare points it measured.  Take it back out.
+                    bucket.pop()
+                    pts.pop()
+                    self._outputs.pop()
+                    self._alive.pop()
+                    self._ids.pop()
+                    raise
         except self._mismatch as exc:
             raise _dimension_error(exc) from None
 
     def remove(self, position: int) -> None:
+        # Points of different dimensions can only share a root leaf of at
+        # most the capacity (insert takes back a point its split cannot
+        # measure), and a rebuild does not split that: it cannot raise.
         _check_position(position, len(self._ids))
         self._alive[self._ids.pop(position)] = False
         self._dead += 1
         if self._dead * 2 > len(self._ids):
-            try:
-                self._rebuild()
-            except self._mismatch as exc:
-                raise _dimension_error(exc) from None
+            self._rebuild()
 
     def _rebuild(self) -> None:
         ids = self._ids

@@ -1,5 +1,6 @@
 """Command-line behavior: parsing, exit codes, CSV outputs."""
 
+import hashlib
 import math
 import os
 
@@ -200,6 +201,24 @@ def test_verify_quick_pass(capsys):
     assert out.count("growth-identity") == 15
     assert out.count("conditional-branch") == 8
     assert out.count("theorem") == 6
+
+
+# SHA-256 of verify's stdout at FAST_VERIFY, taken when verify still ran its
+# experiments one after another in one process.
+FAST_VERIFY_STDOUT_SHA256 = [
+    ([], 0, "e5cf1fac8e28050cc8f5326e07178f27ddfb421e8a395e777dd2d713f546079c"),
+    (["--inject-removal-probability", "0.5"], 1,
+     "058a01b2a868d062d8488bb9286e6b315eb550f83e49fab020851fa3bc7f59ad"),
+]
+
+
+@pytest.mark.parametrize("extra, code, digest", FAST_VERIFY_STDOUT_SHA256,
+                         ids=["plain", "injected"])
+def test_verify_stdout_does_not_depend_on_jobs(extra, code, digest, capsys):
+    for jobs in ("1", "2"):
+        assert main(FAST_VERIFY + extra + ["--jobs", jobs]) == code
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, jobs
 
 
 def test_verify_detects_corrupted_removal_probability(capsys):

@@ -1,8 +1,10 @@
-"""Invalid inputs end in exit 2 before any output; sweeps size their pools."""
+"""Invalid inputs end in exit 2 before any output; sweep and verify size their pools."""
 
 import math
 import os
 import tempfile
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from protostream import cli
 from protostream.errors import ConfigError, EmptyCandidatesError
 from protostream.learner import LearnerConfig
 from protostream.metrics import TARGETS
-from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
+from protostream.streams import (
+    MAX_GRID_POINTS, STREAM_KINDS, GridSweep, IidUniform, RandomWalk,
+)
 
 
 @pytest.mark.parametrize("flags", [
@@ -55,6 +59,14 @@ def test_grid_lattice_overflow_leaves_no_trace_file(tmp_path):
                      "--steps", "100", "--output", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_sweep_grid_too_short_for_steps_leaves_no_output_directory(tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert cli.main(["sweep", "--stream", "grid", "--grid-resolution", "3",
+                     "--steps", "100", "--output", str(out_dir)]) == 2
+    assert "cannot emit 100" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_sweep_combination_error_comes_before_any_output(tmp_path, capsys):
@@ -103,9 +115,14 @@ def test_injection_flag_is_not_a_config_file_key(tmp_path):
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor; runs the map in this process."""
+    """Stands in for ProcessPoolExecutor; runs the map in this process.
+
+    ``created`` records each pool's worker count, ``submitted`` each map's
+    tasks as argument tuples, in submission order.
+    """
 
     created = []
+    submitted = []
 
     def __init__(self, max_workers):
         self.created.append(max_workers)
@@ -116,17 +133,50 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        tasks = list(zip(*iterables))
+        self.submitted.append(tasks)
+        return [fn(*task) for task in tasks]
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(_RecordingPool, "submitted", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
 
 
 @pytest.mark.parametrize("q_list, expected", [("0.75", []), ("0.5,0.75", [2])])
-def test_sweep_never_asks_for_more_workers_than_runs(q_list, expected, monkeypatch, tmp_path):
-    monkeypatch.setattr(_RecordingPool, "created", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+def test_sweep_never_asks_for_more_workers_than_runs(q_list, expected, recording_pool,
+                                                     tmp_path):
     assert cli.main(["sweep", "--steps", "20", "--jobs", "64", "--q-list", q_list,
                      "--output", str(tmp_path / "s")]) == 0
-    assert _RecordingPool.created == expected
+    assert recording_pool.created == expected
+
+
+_TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
+                "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
+
+
+@pytest.mark.parametrize("jobs, expected", [("1", []), ("3", [3]), ("23", [23]), ("64", [23])])
+def test_verify_pool_size_and_longest_tasks_first(jobs, expected, recording_pool, capsys):
+    assert cli.main(_TINY_VERIFY + ["--jobs", "1"]) in (0, 1)
+    in_process = capsys.readouterr().out
+    assert cli.main(_TINY_VERIFY + ["--jobs", jobs]) in (0, 1)
+    assert capsys.readouterr().out == in_process
+    assert recording_pool.created == expected
+    if expected:
+        [tasks] = recording_pool.submitted
+        kinds = [kind for _values, kind, _i in tasks]
+        assert kinds == ["theorem"] * 3 + ["branch"] * 4 + ["growth"] * 15 + ["miss"]
+        assert [i for _values, _kind, i in tasks[:3]] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", str(-2**63)])
+def test_verify_rejects_nonpositive_jobs(jobs, capsys):
+    assert cli.main(_TINY_VERIFY + ["--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err
 
 
 # Up to two flags take any float at all (NaN and infinities included); the
@@ -181,3 +231,73 @@ def test_any_stream_box_ends_in_a_defined_exit_code(lo, hi, scale, stream, targe
         argv += [f"--stream-lo={lo!r}"] if lo is not None else []
         argv += [f"--stream-hi={hi!r}"] if hi is not None else []
         assert cli.main(argv) in (0, 2)
+
+
+class _NoPool:
+    """Fails the test if a pool is ever started."""
+
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers was started")
+
+
+def _traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_INT_EXTREMES = (0, -1, 1, 2**31, 2**63 - 1, 2**63, 2**64, -(2**63), 10**8, 10**30)
+_ANY_INT = st.one_of(st.integers(), st.sampled_from(_INT_EXTREMES))
+
+
+@st.composite
+def _run_int_flags(draw):
+    # Any int at all may reach --window, --seed and --jobs.  --steps and a
+    # grid's --grid-resolution take any int that is refused or small: a
+    # valid huge value would be a long run, not a bug.  A grid refuses a
+    # resolution above MAX_GRID_POINTS and more steps than its lattice.
+    stream = draw(st.sampled_from(STREAM_KINDS))
+    refused_or_small = [st.integers(max_value=0), st.integers(1, 50)]
+    if stream == "grid":
+        refused_or_small.append(st.integers(min_value=MAX_GRID_POINTS + 1))
+        resolution = st.one_of(st.integers(max_value=0), st.integers(1, 300),
+                               st.integers(min_value=MAX_GRID_POINTS + 1),
+                               st.sampled_from((10**8, 2**64)))
+    else:
+        resolution = _ANY_INT
+    values = {"stream": stream,
+              "steps": draw(st.one_of(*refused_or_small)),
+              "grid-resolution": draw(st.one_of(st.none(), resolution)),
+              "window": draw(st.one_of(st.none(), _ANY_INT)),
+              "seed": draw(st.one_of(st.none(), _ANY_INT))}
+    return {k: v for k, v in values.items() if v is not None}
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=_run_int_flags(), sweep_jobs=st.one_of(st.none(), _ANY_INT))
+def test_run_int_flags_end_in_a_defined_exit_code(values, sweep_jobs):
+    # With sweep_jobs the same flags go to a one-run sweep with --jobs, which
+    # never needs a pool, whatever jobs says.
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(cli, "ProcessPoolExecutor", _NoPool):
+        out = os.path.join(tmp, "out")
+        argv = ["run" if sweep_jobs is None else "sweep", f"--output={out}"]
+        argv += [f"--{flag}={value}" for flag, value in values.items()]
+        argv += [] if sweep_jobs is None else [f"--jobs={sweep_jobs}"]
+        code, peak = _traced_peak(lambda: cli.main(argv))
+    assert code in (0, 2)
+    assert peak < 20 * 2**20
+
+
+def test_huge_grid_resolution_is_refused_before_any_allocation(tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    argv = ["run", "--stream", "grid", "--grid-resolution", "100000000",
+            "--steps", "10", "--output", str(out)]
+    code, peak = _traced_peak(lambda: cli.main(argv))
+    assert code == 2
+    assert "more than the 1000000 allowed" in capsys.readouterr().err
+    assert peak < 2**20
+    assert not out.exists()

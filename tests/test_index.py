@@ -235,15 +235,34 @@ def test_euclidean_dimension_mismatch_is_not_a_value_error():
     # A larger tree measures a new point on its way down.
     with pytest.raises(DimensionMismatchError):
         VpTreeIndex(EUCLID, [(float(i),) for i in range(40)]).insert((1.0, 2.0))
-    # Once a mismatched point is stored, every split of its leaf fails: at
-    # insert, and at the rebuild a removal starts.
+    # Once a mismatched point is stored, every split of its leaf fails.
     tree = VpTreeIndex(EUCLID, [(0.0,), (1.0, 2.0)], leaf_capacity=2)
     for i in range(2, 6):
         with pytest.raises(DimensionMismatchError):
             tree.insert((float(i),))
-    with pytest.raises(DimensionMismatchError):
-        for _ in range(3):
-            tree.remove(len(tree) - 1)
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
+def test_failed_split_takes_the_new_point_back_out(metric):
+    # Leaf capacity 2: the third point overflows the root leaf, whose split
+    # cannot measure the stored 2-D point.  Each failed insert used to leave
+    # its point behind (len() went 2 -> 6).
+    tree = VpTreeIndex(METRICS[metric], leaf_capacity=2)
+    tree.insert((0.0,), "a")
+    tree.insert((1.0, 2.0), "b")
+    for i in range(2, 6):
+        with pytest.raises(DimensionMismatchError):
+            tree.insert((float(i),), i)
+        assert len(tree) == 2
+    assert [tree.output(0), tree.output(1)] == ["a", "b"]
+    # Removing the mismatched point heals the tree: the rebuild sees one
+    # point, and later inserts split as usual.
+    tree.remove(1)
+    for i in range(2, 6):
+        tree.insert((float(i),), i)
+    assert len(tree) == 5
+    assert tree.query_nearest_set((3.1,)) == [2]
+    assert [tree.output(p) for p in range(5)] == ["a", 2, 3, 4, 5]
 
 
 def test_other_metrics_errors_pass_through():

@@ -2,11 +2,14 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import pytest
 
 from protostream.errors import ConfigError, EmptyStreamError
-from protostream.streams import GridSweep, IidUniform, RandomWalk, generate_stream
+from protostream.streams import (
+    MAX_GRID_POINTS, GridSweep, IidUniform, RandomWalk, generate_stream,
+)
 
 UNIT = ((0.0, 1.0),)
 
@@ -82,6 +85,49 @@ def test_grid_sweep_rejects_requests_beyond_lattice():
     gen = GridSweep(4, UNIT, seed=0)
     with pytest.raises(ConfigError):
         generate_stream(gen, 5)
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_sweep_refuses_large_lattices_before_allocating():
+    assert GridSweep(MAX_GRID_POINTS, UNIT, seed=0).size == MAX_GRID_POINTS
+    assert GridSweep(1000, ((0.0, 1.0), (0.0, 1.0)), seed=0).size == MAX_GRID_POINTS
+    for resolution, bounds in [(MAX_GRID_POINTS + 1, UNIT), (10**8, UNIT), (2**64, UNIT),
+                               (1001, ((0.0, 1.0), (0.0, 1.0))), (101, UNIT * 3)]:
+        def build():
+            with pytest.raises(ConfigError, match="more than"):
+                GridSweep(resolution, bounds, seed=0)
+        assert _peak_bytes(build) < 100_000
+    # A request longer than the lattice is refused before the lattice exists.
+    gen = GridSweep(1000, ((0.0, 1.0), (0.0, 1.0)), seed=0)
+
+    def overlong():
+        with pytest.raises(ConfigError, match="cannot emit"):
+            generate_stream(gen, MAX_GRID_POINTS + 1)
+    assert _peak_bytes(overlong) < 100_000
+
+
+# SHA-256 of repr(points), taken before the lattice size limit existed:
+# the backward Fisher-Yates shuffle's draws are part of the contract.
+GRID_DIGESTS = [
+    (GridSweep(256, UNIT, seed=3, stream=1), 200,
+     "9851440157a5dcbbf78d833a5723552231140abb34ac16ff067f6ccae76e4462"),
+    (GridSweep(7, ((0.0, 1.0), (-2.0, 2.0)), seed=9, stream=5), 49,
+     "57685fe8b79f90500448f7c4dadb2938fe5ef728b6395b5301508bb75fd7466c"),
+]
+
+
+@pytest.mark.parametrize("gen,length,digest", GRID_DIGESTS, ids=["1d", "2d"])
+def test_grid_sweep_draw_order_is_pinned(gen, length, digest):
+    points = generate_stream(gen, length)
+    assert hashlib.sha256(repr(points).encode()).hexdigest() == digest
 
 
 def test_random_walk_stays_in_bounds_and_moves_gently():
