@@ -193,6 +193,8 @@ def parse_config(argv) -> CliConfig:
     cfg = CliConfig(subcommand, values)
     if subcommand in _RUNS:
         cfg.runs = _plan_runs(values)
+    if subcommand == "sweep":
+        _check_trace_names(cfg.runs)
     return cfg
 
 
@@ -236,6 +238,22 @@ def _plan_runs(v: dict) -> list:
             generator = RandomWalk(v["walk_scale"], bounds, seed, stream_index)
         runs.append((config, generator))
     return runs
+
+
+def _trace_name(config: LearnerConfig) -> str:
+    """File name of one sweep run's trace, under the output directory."""
+    return f"trace_q{config.q:g}_eps{config.epsilon:g}_seed{config.seed}.csv"
+
+
+def _check_trace_names(runs: list) -> None:
+    """Refuse a sweep in which two runs would write the same trace file."""
+    seen = {}
+    for run_index, (config, _) in enumerate(runs):
+        name = _trace_name(config)
+        run = f"{run_index} (q {config.q!r}, epsilon {config.epsilon!r}, seed {config.seed})"
+        if name in seen:
+            raise ConfigError(f"sweep runs {seen[name]} and {run} would both write {name}")
+        seen[name] = run
 
 
 def _drive(v: dict, config: LearnerConfig, generator, run_index: int,
@@ -303,8 +321,8 @@ def cmd_sweep(cfg: CliConfig) -> int:
 
     tasks = []
     for run_index, (config, generator) in enumerate(cfg.runs):
-        name = f"trace_q{config.q:g}_eps{config.epsilon:g}_seed{config.seed}.csv"
-        tasks.append((v, config, generator, run_index, os.path.join(out_dir, name)))
+        tasks.append((v, config, generator, run_index,
+                      os.path.join(out_dir, _trace_name(config))))
     try:
         rows = _map_tasks(_sweep_worker, tasks, v["jobs"])
     except OSError as exc:

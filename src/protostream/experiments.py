@@ -228,9 +228,13 @@ def read_trace(path: str) -> list[TraceRow]:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
-            raise ProtostreamError(f"unexpected trace header: {header!r}")
-        for line in fh:
-            n, action, size, dist, hit, hr, md = line.rstrip("\n").split(",")
-            rows.append(TraceRow(int(n), action, int(size), float(dist),
-                                 bool(int(hit)), float(hr), float(md)))
+            raise ProtostreamError(f"{path}:1: unexpected trace header: {header!r}")
+        for lineno, line in enumerate(fh, 2):
+            try:
+                n, action, size, dist, hit, hr, md = line.rstrip("\n").split(",")
+                rows.append(TraceRow(int(n), action, int(size), float(dist),
+                                     bool(int(hit)), float(hr), float(md)))
+            except ValueError:
+                raise ProtostreamError(f"{path}:{lineno}: malformed trace row "
+                                       f"{line.rstrip()!r}; expected {TRACE_HEADER}") from None
     return rows

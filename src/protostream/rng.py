@@ -13,9 +13,23 @@ statistically independent sequences; the convention used by runs is
 * stream ``2 * run_index + 1``  -- synthetic input-point generation
 
 so parallel runs of a sweep never share randomness.
+
+Block generation: a stream computes its outputs ``_LANES`` (256) at a
+time, in one pass of big-int operations over a single wide int.  Each
+output has its own 128-bit lane, low 64 bits the value, high 64 bits
+zero.  A 64-bit value times a 64-bit constant fits in 128 bits, so no
+carry crosses into the next lane, and one lane mask after each xor-shift
+and each multiply does what ``& _MASK`` does for one value.  The lanes
+are read out of the int's native-order bytes as 64-bit words.  A stream
+holds one block at a time (~11 KB) and computes its first block on its
+first draw, so a stream that never draws costs nothing.  The sequence,
+the draw-count contract and ``state`` are those of computing one output
+at a time with ``_mix``, which the tests keep as the reference.
 """
 
 from __future__ import annotations
+
+import sys
 
 from .errors import ConfigError, EmptyCandidatesError
 
@@ -25,6 +39,22 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 _UNIT = 2.0 ** -53
+
+# Lane k of a block, counting from the low end, holds the state of draw
+# _LANES - k, so that ``list.pop`` hands the draws out in order.  The lane
+# tables are built from bytes: a sum of shifted terms would cost ~1 ms at
+# import.
+_LANES = 256
+_LANE_BYTES = 16
+_LANE_ONES = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _LANES, "little")
+_LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+_LANE_STEPS = int.from_bytes(b"".join(
+    (((_LANES - k) * _GAMMA) & _MASK).to_bytes(_LANE_BYTES, "little")
+    for k in range(_LANES)), "little")
+# The low 64-bit word of every lane, lane 0 first, among a block's native-
+# order words: on a big-endian machine the words come high lane first and
+# high half first.
+_LANE_WORDS = slice(None, None, 2) if sys.byteorder == "little" else slice(None, None, -2)
 
 
 def _mix(z: int) -> int:
@@ -57,24 +87,40 @@ class RandomStream:
       but certain and consumes exactly one draw.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_end", "_block")
 
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise ConfigError(f"seed and stream index must be nonnegative integers, "
                               f"got seed {seed}, stream {stream}")
-        self._state = _mix((seed + (stream + 1) * _GAMMA) & _MASK)
+        # The state after the last draw of the current block, and the
+        # block's draws not yet handed out, last draw first.
+        self._end = _mix((seed + (stream + 1) * _GAMMA) & _MASK)
+        self._block = []
 
     @property
     def state(self) -> int:
         """Current internal state; equal states replay equal futures."""
-        return self._state
+        return (self._end - len(self._block) * _GAMMA) & _MASK
 
     def next_u64(self) -> int:
-        self._state = s = (self._state + _GAMMA) & _MASK
-        z = ((s ^ (s >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        block = self._block
+        if not block:
+            block = self._refill()
+        return block.pop()
+
+    def _refill(self) -> list:
+        """Compute the next ``_LANES`` draws into ``self._block``."""
+        z = (self._end * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
+        self._end = (self._end + _LANES * _GAMMA) & _MASK
+        z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
+        z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
+        # Bits shifted in from the next lane land in the high half, which
+        # the read-out skips.
+        z ^= z >> 31
+        words = memoryview(z.to_bytes(_LANES * _LANE_BYTES, sys.byteorder)).cast("Q")
+        self._block = block = words[_LANE_WORDS].tolist()
+        return block
 
     def next_unit(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""

@@ -77,6 +77,19 @@ def test_sweep_combination_error_comes_before_any_output(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--seed-list", "1,1"], "trace_q0.9_eps0.05_seed1.csv"),
+    (["--q-list", "0.9000001,0.9000002"], "trace_q0.9_eps0.05_seed0.csv"),
+])
+def test_sweep_runs_sharing_a_trace_name_are_refused(flags, name, tmp_path, capsys):
+    out_dir = tmp_path / "sweep"
+    assert cli.main(["sweep", "--steps", "20", "--jobs", "2", "--output", str(out_dir),
+                     *flags]) == 2
+    err = capsys.readouterr().err
+    assert "sweep runs 0 (" in err and " and 1 (" in err and f"both write {name}" in err
+    assert not out_dir.exists()
+
+
 def test_parse_config_builds_every_sweep_run():
     cfg = cli.parse_config(["sweep", "--q-list", "0.5,0.9", "--seed-list", "3,4",
                             "--stream", "walk"])

@@ -9,6 +9,7 @@ mean size change at zero.
 """
 
 import os
+import re
 import tempfile
 import tracemalloc
 
@@ -16,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from protostream.errors import ConfigError
+from protostream.errors import ConfigError, ProtostreamError
 from protostream.experiments import (
+    TRACE_HEADER,
     conditional_branch_experiment,
     forced_miss_experiment,
     growth_identity_experiment,
@@ -204,3 +206,12 @@ def test_trace_keeps_every_completed_step_when_a_step_raises(tmp_path):
                            IidUniform(target.domain, 0), 3000,
                            series_window=1000, trace_path=path)
     assert [row.n for row in read_trace(path)] == list(range(1, 1500))
+
+
+@pytest.mark.parametrize("row", ["1,Insert,1", "1,Insert,1,inf,0,0.0,1.0,7",
+                                 "1,Insert,one,inf,0,0.0,1.0"])
+def test_read_trace_names_the_malformed_row(row, tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{TRACE_HEADER}\n1,Insert,1,inf,0,0.0,1.0\n{row}\n")
+    with pytest.raises(ProtostreamError, match=re.escape(f"t.csv:3: malformed trace row '{row}'")):
+        read_trace(str(path))

@@ -1,5 +1,7 @@
 """Deterministic generator: reference vectors, draw accounting, sampling."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from protostream.errors import ConfigError, EmptyCandidatesError
 from protostream.rng import (
     _GAMMA,
+    _LANES,
     _MASK,
     _mix,
     RandomStream,
@@ -33,6 +36,9 @@ SEED42_UNIT = (
     0.06735789320333596,
 )
 SEED42_SAMPLES = ("c", "a", "c", "c", "c", "a", "c", "c")
+# SHA-256 of the first 10,000 next_u64 of RandomStream(42, 0), each as 8
+# little-endian bytes, taken from the one-draw-at-a-time generator.
+SEED42_U64_SHA256 = "7c11bd9051e7b822acac0b6815da965c38be6caf11efdc6b71a7db1bc71d9b82"
 
 
 def test_mixer_matches_reference_vector():
@@ -146,3 +152,50 @@ def test_state_property_tracks_advances():
     s1 = rng.state
     assert s0 != s1
     assert 0 <= s1 <= _MASK
+
+
+def test_seed42_first_10000_u64_digest_is_pinned():
+    rng = RandomStream(42, 0)
+    digest = hashlib.sha256()
+    for _ in range(10_000):
+        digest.update(rng.next_u64().to_bytes(8, "little"))
+    assert digest.hexdigest() == SEED42_U64_SHA256
+
+
+_CALLS = st.one_of(st.just(("u64", None)), st.just(("unit", None)),
+                   st.tuples(st.just("below"), st.integers(1, 2**64)))
+
+
+@given(seed=st.integers(0, _MASK), stream=st.integers(0, 10_000),
+       calls=st.lists(_CALLS, min_size=1, max_size=12), skip=st.integers(0, _LANES))
+@settings(max_examples=60, deadline=None)
+def test_block_draws_match_the_scalar_reference(seed, stream, calls, skip):
+    # Reference: draw k of the stream is _mix(s0 + k * GAMMA), one at a time.
+    s0 = _mix((seed + (stream + 1) * _GAMMA) & _MASK)
+    k = 0
+
+    def ref_u64():
+        nonlocal k
+        k += 1
+        return _mix((s0 + k * _GAMMA) & _MASK)
+
+    rng = RandomStream(seed, stream)
+    assert rng.state == s0
+    for _ in range(skip):
+        assert rng.next_u64() == ref_u64()
+    # The calls repeat until the draws have crossed two block boundaries.
+    i = 0
+    while k <= skip + 2 * _LANES:
+        kind, m = calls[i % len(calls)]
+        i += 1
+        if kind == "u64":
+            assert rng.next_u64() == ref_u64()
+        elif kind == "unit":
+            assert rng.next_unit() == (ref_u64() >> 11) * 2.0**-53
+        else:
+            limit = ((1 << 64) // m) * m
+            u = ref_u64()
+            while u >= limit:
+                u = ref_u64()
+            assert rng.next_below(m) == u % m
+        assert rng.state == (s0 + k * _GAMMA) & _MASK
