@@ -122,7 +122,7 @@ def read_config_file(path: str, subcommand: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()

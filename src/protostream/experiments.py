@@ -23,6 +23,7 @@ row's step::
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,7 @@ from .stats import RunReport, SeriesPoint, WindowStats
 from .streams import generate_stream
 
 TRACE_HEADER = "n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta"
+_ACTIONS = frozenset(action.value for action in Action)
 
 
 def format_float(x: float) -> str:
@@ -137,11 +139,10 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
 
     ``run_index`` selects the learner substream ``learner_stream_index(run_index)``
     (the generator carries its own).  Stream points are drawn as the run
-    steps, so memory follows the live model and the windows, not ``steps``.
-    With ``trace_path`` the trace CSV is written there as the run steps, in
-    chunks of ``series_window`` rows; the file is opened only once
-    ``generate_stream`` has returned, so a stream that cannot be generated
-    leaves no file behind.
+    steps, so memory follows the live model and the series window, not
+    ``steps``.  With ``trace_path`` the trace CSV is written there as the
+    run steps; the file is opened only once ``generate_stream`` has
+    returned, so a stream that cannot be generated leaves no file behind.
     """
     if index_kind not in INDEXES:
         raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
@@ -153,39 +154,36 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     index = INDEXES[index_kind](input_metric)
 
     series_stats = WindowStats(series_window)
-    tail = series_stats if tail_window == series_window else WindowStats(tail_window)
+    if tail_window < 1:
+        raise ConfigError(f"window size must be at least 1, got {tail_window}")
+    # The tail is the steps after step cut: its counts are the final ones less those at cut.
+    cut = max(steps - tail_window, 0)
+    hits = hits_at_cut = size_at_cut = 0
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
-    rows: list[str] = []  # trace rows not yet written, at most series_window
-    out = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else None
-    try:
+    # Closing flushes every completed row, even when a step raises.
+    trace = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else nullcontext()
+    with trace as out:
         if out:
             out.write(TRACE_HEADER + "\n")
         for k, x in enumerate(points, 1):
             outcome = step(index, x, evaluate(x), output_metric, config, rng, k)
             series_stats.update(outcome)
-            if tail is not series_stats:
-                tail.update(outcome)
+            hits += outcome.hit
+            if k == cut:
+                hits_at_cut, size_at_cut = hits, outcome.model_size_after
             if out:
                 # format_float inlined: 17 significant digits.
-                rows.append(f"{k},{outcome.action.value},{outcome.model_size_after},"
-                            f"{outcome.output_distance:.17g},{outcome.hit:d},"
-                            f"{series_stats.hit_rate:.17g},"
-                            f"{series_stats.mean_size_delta:.17g}\n")
+                out.write(f"{k},{outcome.action.value},{outcome.model_size_after},"
+                          f"{outcome.output_distance:.17g},{outcome.hit:d},"
+                          f"{series_stats.hit_rate:.17g},"
+                          f"{series_stats.mean_size_delta:.17g}\n")
             if k % series_window == 0:
                 series.append(SeriesPoint(k, outcome.model_size_after,
                                           series_stats.hit_rate,
                                           series_stats.mean_size_delta))
-                if out:
-                    out.write("".join(rows))
-                    rows.clear()
-    finally:
-        if out:
-            # Every completed step reaches the file, even when a step
-            # raised; ``with`` closes it even when this write fails.
-            with out:
-                out.write("".join(rows))
-    stabilized = abs(tail.mean_size_delta) <= stabilization_delta
+    n = steps - cut  # a WindowStats(tail_window) divides the same integers
+    tail_mean_delta = (len(index) - size_at_cut) / n
     return RunReport(
         config={
             "target": target.name,
@@ -201,10 +199,10 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
         final_step=steps,
         final_size=len(index),
         tail_window=tail_window,
-        tail_hit_rate=tail.hit_rate,
-        tail_mean_delta=tail.mean_size_delta,
+        tail_hit_rate=(hits - hits_at_cut) / n,
+        tail_mean_delta=tail_mean_delta,
         stabilization_delta=stabilization_delta,
-        stabilized=stabilized,
+        stabilized=abs(tail_mean_delta) <= stabilization_delta,
         series=series,
     )
 
@@ -225,15 +223,18 @@ class TraceRow:
 def read_trace(path: str) -> list[TraceRow]:
     """Parse a trace CSV back into records (round-trips theorem_experiment output)."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 becomes a lone surrogate, which no field accepts.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != TRACE_HEADER:
             raise ProtostreamError(f"{path}:1: unexpected trace header: {header!r}")
         for lineno, line in enumerate(fh, 2):
             try:
                 n, action, size, dist, hit, hr, md = line.rstrip("\n").split(",")
+                if action not in _ACTIONS or hit not in ("0", "1"):
+                    raise ValueError(action, hit)
                 rows.append(TraceRow(int(n), action, int(size), float(dist),
-                                     bool(int(hit)), float(hr), float(md)))
+                                     hit == "1", float(hr), float(md)))
             except ValueError:
                 raise ProtostreamError(f"{path}:{lineno}: malformed trace row "
                                        f"{line.rstrip()!r}; expected {TRACE_HEADER}") from None

@@ -140,7 +140,8 @@ class VpTreeIndex:
     Inserts descend by the stored split radii, so the partition invariant
     (inner holds exactly the points with d(vantage, p) <= mu) survives
     mutation.  Removal tombstones; the tree is rebuilt from live points
-    whenever tombstones exceed half the live count.
+    whenever the tombstones, ``len(_points) - len(_ids)``, exceed half the
+    live count.
 
     Points get increasing internal ids and ``_ids`` lists the live ones in
     ascending order.  Removal keeps the relative order, so a point's
@@ -161,7 +162,6 @@ class VpTreeIndex:
         self._alive: list[bool] = []  # by internal id
         self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
-        self._dead = 0
         for p in points:
             self.insert(p)
 
@@ -215,9 +215,9 @@ class VpTreeIndex:
         # most the capacity (insert takes back a point its split cannot
         # measure), and a rebuild does not split that: it cannot raise.
         _check_position(position, len(self._ids))
-        self._alive[self._ids.pop(position)] = False
-        self._dead += 1
-        if self._dead * 2 > len(self._ids):
+        ids = self._ids
+        self._alive[ids.pop(position)] = False
+        if (len(self._points) - len(ids)) * 2 > len(ids):
             self._rebuild()
 
     def _rebuild(self) -> None:
@@ -229,7 +229,6 @@ class VpTreeIndex:
         n = len(ids)
         self._alive = [True] * n
         self._ids = list(range(n))
-        self._dead = 0
         if not n:
             self._root = None
             return

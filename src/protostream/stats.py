@@ -16,11 +16,11 @@ class WindowStats:
     the identity mean_size_delta == miss_fraction - remove_fraction holds
     exactly, because every miss inserts (+1) and the only -1 is a removal.
     Each step sits in the window as the one int ``2 * delta + hit``, so
-    ``event & 1`` is the hit and ``event >> 1`` the size delta.
+    ``event & 1`` is the hit and ``event >> 1`` the size delta.  The step
+    index and model size are the caller's to read off the ``StepOutcome``.
     """
 
-    __slots__ = ("window_size", "_events", "_hits", "_delta_sum",
-                 "step_count", "model_size")
+    __slots__ = ("window_size", "_events", "_hits", "_delta_sum")
 
     def __init__(self, window_size: int = 1000):
         if window_size < 1:
@@ -29,8 +29,6 @@ class WindowStats:
         self._events: deque = deque()
         self._hits = 0
         self._delta_sum = 0
-        self.step_count = 0
-        self.model_size = 0
 
     def update(self, outcome: StepOutcome) -> "WindowStats":
         hit = outcome.hit
@@ -43,8 +41,6 @@ class WindowStats:
             old = events.popleft()
             self._hits -= old & 1
             self._delta_sum -= old >> 1
-        self.step_count = outcome.step_index
-        self.model_size = outcome.model_size_after
         return self
 
     @property

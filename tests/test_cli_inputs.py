@@ -127,6 +127,42 @@ def test_injection_flag_is_not_a_config_file_key(tmp_path):
         cli.parse_config(["verify", "--config", str(cfg_file)])
 
 
+def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_bytes(b"q = 0.9\xff\n")
+    out = tmp_path / "t.csv"
+    assert cli.main(["run", "--config", str(cfg_file), "--output", str(out)]) == 2
+    assert f"error: cannot read config file {cfg_file}: 'utf-8' codec" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Config lines: raw bytes, or a known key with a value that is raw bytes or
+# one of a few that convert.
+_CONFIG_LINE = st.one_of(
+    st.binary(max_size=30),
+    st.builds(lambda key, value: key.encode() + b" = " + value,
+              st.sampled_from(sorted(cli.KNOWN_KEYS["run"])),
+              st.one_of(st.binary(max_size=10),
+                        st.sampled_from((b"0", b"1", b"-1", b"0.9", b"nan", b"inf", b"1e308",
+                                         b"3000000", b"grid", b"walk", b"linear", b"step_1d"))))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_CONFIG_LINE, max_size=8))
+def test_any_config_file_bytes_parse_or_raise_config_error(lines):
+    # parse_config only, so no run starts whatever the file says.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.cfg")
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        try:
+            cfg = cli.parse_config(["run", "--config", path])
+        except ConfigError:
+            return
+    assert cfg.subcommand == "run" and len(cfg.runs) == 1
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor; runs the map in this process.
 

@@ -27,9 +27,10 @@ from protostream.experiments import (
     theorem_experiment,
 )
 from protostream.index import INDEX_KINDS
-from protostream.learner import LearnerConfig
+from protostream.learner import Action, LearnerConfig, StepOutcome
 from protostream.metrics import METRICS, TARGETS, TargetFunction
 from protostream.rng import points_stream_index
+from protostream.stats import WindowStats
 from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
 
 EUCLID = METRICS["euclidean"]
@@ -125,6 +126,25 @@ def test_theorem_report_echoes_settings():
     assert report.final_step == 2000
 
 
+@pytest.mark.parametrize("tail_window", [1, 7, 50, 299, 300, 305])
+def test_tail_estimators_equal_a_window_over_the_trace(tail_window, tmp_path):
+    # Steps 300 and series window 50: the tails cover one step, a few, the
+    # series window, all but the first step, the run and more than the run.
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.05, q=0.75, seed=5)
+    gen = IidUniform(target.domain, 5, points_stream_index(0))
+    path = str(tmp_path / "t.csv")
+    report = theorem_experiment(target, EUCLID, config, gen, 300, tail_window=tail_window,
+                                series_window=50, trace_path=path)
+    tail = WindowStats(tail_window)
+    for row in read_trace(path):
+        tail.update(StepOutcome(row.n, None, row.output_distance, row.hit, Action(row.action),
+                                row.model_size, _DELTA[row.action]))
+    assert report.tail_hit_rate == tail.hit_rate
+    assert report.tail_mean_delta == tail.mean_size_delta
+    assert report.stabilized == (abs(tail.mean_size_delta) <= report.stabilization_delta)
+
+
 def test_theorem_rejects_empty_tail_window():
     target = TARGETS["sine_1d"]
     config = LearnerConfig(epsilon=0.05, q=0.9, seed=0)
@@ -133,14 +153,14 @@ def test_theorem_rejects_empty_tail_window():
         theorem_experiment(target, EUCLID, config, gen, 100, tail_window=0)
 
 
-def _peak_traced_bytes(steps, epsilon, q):
+def _peak_traced_bytes(steps, epsilon, q, tail_window=1000):
     target = TARGETS["sine_1d"]
     config = LearnerConfig(epsilon=epsilon, q=q, seed=0)
     gen = IidUniform(target.domain, 0, points_stream_index(0))
     tracemalloc.start()
     try:
         theorem_experiment(target, EUCLID, config, gen, steps,
-                           tail_window=1000, series_window=1000)
+                           tail_window=tail_window, series_window=1000)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -154,6 +174,14 @@ def test_theorem_memory_does_not_grow_with_steps(epsilon, q):
     # 1 MB between 5k and 25k steps.
     growth = _peak_traced_bytes(25_000, epsilon, q) - _peak_traced_bytes(5000, epsilon, q)
     assert growth < 0.5e6
+
+
+def test_theorem_memory_does_not_grow_with_tail_window():
+    # The tail estimators are two counts taken where the tail starts, so
+    # a 50k-step tail costs what a 1k-step one does; a window over the tail
+    # would hold 50k events (~0.4 MB).
+    gap = _peak_traced_bytes(60_000, 0.05, 0.9, 50_000) - _peak_traced_bytes(60_000, 0.05, 0.9)
+    assert gap < 0.1e6
 
 
 _DELTA = {"Insert": 1, "Remove": -1, "Keep": 0}
@@ -188,8 +216,8 @@ def test_trace_size_is_running_sum_of_deltas(seed, q, epsilon, stream, index_kin
 
 
 def test_trace_keeps_every_completed_step_when_a_step_raises(tmp_path):
-    # Rows are written in chunks of series_window; a step that raises
-    # between two chunks must not lose the rows buffered before it.
+    # The file's text layer buffers the rows; a step that raises must not
+    # lose the rows written before it.
     calls = 0
 
     def evaluate(p):
@@ -208,10 +236,12 @@ def test_trace_keeps_every_completed_step_when_a_step_raises(tmp_path):
     assert [row.n for row in read_trace(path)] == list(range(1, 1500))
 
 
-@pytest.mark.parametrize("row", ["1,Insert,1", "1,Insert,1,inf,0,0.0,1.0,7",
-                                 "1,Insert,one,inf,0,0.0,1.0"])
+@pytest.mark.parametrize("row", [b"1,Insert,1", b"1,Insert,1,inf,0,0.0,1.0,7",
+                                 b"1,Insert,one,inf,0,0.0,1.0", b"1,Bogus,1,inf,0,0.0,1.0",
+                                 b"1,Insert,1,inf,7,0.0,1.0", b"1,Insert,1,inf,0,0.0,1.0\xff"])
 def test_read_trace_names_the_malformed_row(row, tmp_path):
     path = tmp_path / "t.csv"
-    path.write_text(f"{TRACE_HEADER}\n1,Insert,1,inf,0,0.0,1.0\n{row}\n")
-    with pytest.raises(ProtostreamError, match=re.escape(f"t.csv:3: malformed trace row '{row}'")):
+    path.write_bytes(f"{TRACE_HEADER}\n1,Insert,1,inf,0,0.0,1.0\n".encode() + row + b"\n")
+    shown = repr(row.decode("utf-8", "surrogateescape"))
+    with pytest.raises(ProtostreamError, match=re.escape(f"t.csv:3: malformed trace row {shown}")):
         read_trace(str(path))

@@ -26,8 +26,6 @@ def test_all_misses_window():
     assert stats.hit_rate == 0.0
     assert stats.mean_size_delta == 1.0
     assert stats.window_fill == 5
-    assert stats.step_count == 5
-    assert stats.model_size == 5
 
 
 def test_all_hits_all_removes_window():
@@ -50,7 +48,6 @@ def test_window_evicts_old_entries():
     assert stats.window_fill == 4
     assert stats.hit_rate == 1.0
     assert stats.mean_size_delta == 0.0
-    assert stats.step_count == 8
 
 
 def test_partial_window_mixture():
