@@ -28,7 +28,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import ConfigError, ProtostreamError
 from .experiments import (  # noqa: F401  (the trace format names are re-exported)
     TRACE_HEADER,
-    TraceRow,
     conditional_branch_experiment,
     forced_miss_experiment,
     format_float,
@@ -136,7 +135,8 @@ def read_config_file(path: str, subcommand: str) -> dict:
         try:
             values[key] = KEYS[key].convert(raw)
         except (ValueError, ConfigError):
-            raise ConfigError(f"malformed value for key '{key}': {raw!r}") from None
+            raise ConfigError(f"{path}:{lineno}: malformed value for key '{key}': "
+                              f"{raw!r}") from None
     return values
 
 
@@ -147,12 +147,6 @@ class CliConfig:
     subcommand: str
     values: dict
     runs: list = field(default_factory=list)
-
-    def __getattr__(self, name):
-        try:
-            return self.values[name]
-        except KeyError:
-            raise AttributeError(name) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,15 +293,13 @@ def _map_tasks(fn, tasks: list, jobs: Optional[int]) -> list:
 
 
 def _sweep_worker(v: dict, config: LearnerConfig, generator, run_index: int,
-                  trace_path: str) -> dict:
+                  trace_path: str) -> str:
+    """Run one sweep point; return its ``summary.csv`` line."""
     report = _drive(v, config, generator, run_index, trace_path)
-    return {
-        "q": config.q, "epsilon": config.epsilon, "seed": config.seed,
-        "final_size": report.final_size,
-        "tail_hit_rate": report.tail_hit_rate,
-        "tail_mean_delta": report.tail_mean_delta,
-        "stabilized": int(report.stabilized),
-    }
+    fmt = format_float
+    return (f"{fmt(config.q)},{fmt(config.epsilon)},{config.seed},{report.final_size},"
+            f"{fmt(report.tail_hit_rate)},{fmt(report.tail_mean_delta)},"
+            f"{int(report.stabilized)}\n")
 
 
 def cmd_sweep(cfg: CliConfig) -> int:
@@ -324,24 +316,20 @@ def cmd_sweep(cfg: CliConfig) -> int:
         tasks.append((v, config, generator, run_index,
                       os.path.join(out_dir, _trace_name(config))))
     try:
-        rows = _map_tasks(_sweep_worker, tasks, v["jobs"])
+        lines = _map_tasks(_sweep_worker, tasks, v["jobs"])
     except OSError as exc:
         print(f"error: cannot write trace: {exc}", file=sys.stderr)
         return 3
 
     summary_path = os.path.join(out_dir, "summary.csv")
-    fmt = format_float
     try:
         with open(summary_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(SUMMARY_HEADER + "\n")
-            for row in rows:
-                fh.write(f"{fmt(row['q'])},{fmt(row['epsilon'])},{row['seed']},"
-                         f"{row['final_size']},{fmt(row['tail_hit_rate'])},"
-                         f"{fmt(row['tail_mean_delta'])},{row['stabilized']}\n")
+            fh.writelines(lines)
     except OSError as exc:
         print(f"error: cannot write summary: {exc}", file=sys.stderr)
         return 3
-    print(f"{len(rows)} runs written under {out_dir}")
+    print(f"{len(lines)} runs written under {out_dir}")
     return 0
 
 

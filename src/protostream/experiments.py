@@ -3,7 +3,8 @@
 Three layers of evidence, from isolated to end-to-end:
 
 * conditional_branch_experiment / forced_miss_experiment pin the per-step
-  branch frequencies on a fixed two-exemplar model (a LinearScanIndex).
+  branch frequencies through one fixed-model loop, which steps a
+  two-exemplar LinearScanIndex and puts it back after every step.
 * growth_identity_experiment checks mean size growth of 1 - p/q against a
   Bernoulli(p) hit stub, bypassing all geometry.
 * theorem_experiment runs the full learner on a synthetic target and
@@ -49,52 +50,49 @@ _NEAR = ((0.0,), 0.0)
 _FAR = ((9.0,), 4.0)
 
 
-def _two_exemplar_index() -> LinearScanIndex:
-    index = LinearScanIndex(METRICS["euclidean"])
-    index.insert(*_NEAR)
-    index.insert(*_FAR)
-    return index
+def _fixed_model_counts(q: float, y: float, trials: int, seed: int) -> tuple[int, int]:
+    """(removes, inserts) over ``trials`` steps at x = 0.1 with output ``y``.
 
-
-def conditional_branch_experiment(q: float, trials: int, seed: int) -> tuple[float, float]:
-    """Empirical (remove, keep) frequencies over forced hit steps.
-
-    Every trial queries next to the first exemplar with a matching output,
-    so the hit branch runs unconditionally; the consulted exemplar is
-    inserted again after a removal to keep the setup fixed (its position
-    does not matter: the nearest set is always that one exemplar).
+    Every step consults ``_NEAR``, the whole nearest set, and the model is
+    put back after it: ``_NEAR`` goes in again after a Remove (its position
+    does not matter), the new last point comes out after an Insert.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     config = LearnerConfig(epsilon=0.5, q=q, seed=seed)
     output_metric = METRICS["absolute_difference"]
-    index = _two_exemplar_index()
+    index = LinearScanIndex(METRICS["euclidean"])
+    index.insert(*_NEAR)
+    index.insert(*_FAR)
     rng = RandomStream(seed, learner_stream_index(0))
-    x, y = (0.1,), 0.0
-    removes = 0
-    for k in range(1, trials + 1):
-        outcome = step(index, x, y, output_metric, config, rng, k)
-        if outcome.action is Action.REMOVE:
+    x = (0.1,)
+    removes = inserts = 0
+    for _ in range(trials):
+        action = step(index, x, y, output_metric, config, rng).action
+        if action is Action.REMOVE:
             removes += 1
             index.insert(*_NEAR)
+        elif action is Action.INSERT:
+            inserts += 1
+            index.remove(len(index) - 1)
+    return removes, inserts
+
+
+def conditional_branch_experiment(q: float, trials: int, seed: int) -> tuple[float, float]:
+    """Empirical (remove, keep) frequencies over forced hit steps.
+
+    The fixed-model loop's output matches ``_NEAR``'s, so every step hits.
+    """
+    removes, _ = _fixed_model_counts(q, 0.0, trials, seed)
     return removes / trials, (trials - removes) / trials
 
 
 def forced_miss_experiment(trials: int, seed: int) -> float:
-    """Fraction of forced-miss steps that insert (must be exactly 1.0)."""
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    config = LearnerConfig(epsilon=0.5, q=0.75, seed=seed)
-    output_metric = METRICS["absolute_difference"]
-    index = _two_exemplar_index()
-    rng = RandomStream(seed, learner_stream_index(0))
-    x, y = (0.1,), 100.0  # far beyond epsilon from both stored outputs
-    inserts = 0
-    for k in range(1, trials + 1):
-        outcome = step(index, x, y, output_metric, config, rng, k)
-        if outcome.action is Action.INSERT:
-            inserts += 1
-            index.remove(len(index) - 1)  # keep the setup fixed
+    """Fraction of forced-miss steps that insert (must be exactly 1.0).
+
+    The fixed-model loop's output is far beyond epsilon from both exemplars'.
+    """
+    _, inserts = _fixed_model_counts(0.75, 100.0, trials, seed)
     return inserts / trials
 
 
@@ -130,7 +128,6 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
 
 def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
                        config: LearnerConfig, generator, steps: int,
-                       output_metric: Optional[MetricDescriptor] = None,
                        tail_window: int = 50_000, series_window: int = 1000,
                        stabilization_delta: float = 0.01,
                        index_kind: str = "vptree", run_index: int = 0,
@@ -146,8 +143,7 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     """
     if index_kind not in INDEXES:
         raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
-    if output_metric is None:
-        output_metric = METRICS[target.output_metric]
+    output_metric = METRICS[target.output_metric]
     points = generate_stream(generator, steps)
     rng = RandomStream(config.seed, learner_stream_index(run_index))
     # The index holds the model; it starts empty and fills through the steps.
@@ -167,7 +163,7 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
         if out:
             out.write(TRACE_HEADER + "\n")
         for k, x in enumerate(points, 1):
-            outcome = step(index, x, evaluate(x), output_metric, config, rng, k)
+            outcome = step(index, x, evaluate(x), output_metric, config, rng)
             series_stats.update(outcome)
             hits += outcome.hit
             if k == cut:

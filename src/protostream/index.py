@@ -35,10 +35,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 
-from .errors import ConfigError, DimensionMismatchError, EmptyModelError, PositionOutOfRangeError
+from .errors import DimensionMismatchError, EmptyModelError, PositionOutOfRangeError
 from .metrics import MetricDescriptor, euclidean_distance
 
-_DEFAULT_LEAF_CAPACITY = 16
+_LEAF_CAPACITY = 16
 
 # Relative slack applied to pruning bounds only (never to the tie test
 # itself): computed distances can violate the triangle inequality by a
@@ -90,8 +90,6 @@ def _check_position(position: int, n: int) -> None:
 
 class LinearScanIndex:
     """Brute-force backend; the oracle the tree is checked against."""
-
-    kind = "linear"
 
     def __init__(self, metric: MetricDescriptor, points=()):
         self._distance, self._mismatch = _resolve(metric)
@@ -150,13 +148,8 @@ class VpTreeIndex:
     positions, vantage picks and tie orders are unchanged by it.
     """
 
-    kind = "vptree"
-
-    def __init__(self, metric: MetricDescriptor, points=(), leaf_capacity: int = _DEFAULT_LEAF_CAPACITY):
-        if leaf_capacity < 1:
-            raise ConfigError(f"leaf capacity must be at least 1, got {leaf_capacity}")
+    def __init__(self, metric: MetricDescriptor, points=()):
         self._distance, self._mismatch = _resolve(metric)
-        self._capacity = leaf_capacity
         self._points: list = []       # by internal id, compacted at rebuild
         self._outputs: list = []      # by internal id, compacted at rebuild
         self._alive: list[bool] = []  # by internal id
@@ -194,7 +187,7 @@ class VpTreeIndex:
                 return
             bucket = node.bucket
             bucket.append(pid)
-            if len(bucket) > self._capacity:
+            if len(bucket) > _LEAF_CAPACITY:
                 try:
                     self._split(node)
                 except Exception:
@@ -234,7 +227,7 @@ class VpTreeIndex:
             return
         root = _Node(list(range(n)))
         self._root = root
-        if n > self._capacity:
+        if n > _LEAF_CAPACITY:
             self._split(root)
 
     def _split(self, node: _Node) -> None:
@@ -247,7 +240,7 @@ class VpTreeIndex:
         while stack:
             leaf = stack.pop()
             bucket = leaf.bucket
-            if len(bucket) <= self._capacity:
+            if len(bucket) <= _LEAF_CAPACITY:
                 continue
             vantage = bucket[len(bucket) // 2]
             rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]

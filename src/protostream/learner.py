@@ -61,17 +61,11 @@ class LearnerConfig:
         """Chance that a hit removes the consulted exemplar: 1/q - 1."""
         return 1.0 / self.q - 1.0
 
-    @property
-    def keep_probability(self) -> float:
-        """Chance that a hit leaves the model unchanged: 2 - 1/q."""
-        return 2.0 - 1.0 / self.q
-
 
 @dataclass(slots=True)
 class StepOutcome:
     """Full record of one update step."""
 
-    step_index: int
     sampled_index: Optional[int]
     output_distance: float
     hit: bool
@@ -95,7 +89,7 @@ def resolve_hit_action(remove_probability: float, rng: RandomStream) -> Action:
 
 
 def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfig,
-         rng: RandomStream, step_index: int = 1) -> StepOutcome:
+         rng: RandomStream) -> StepOutcome:
     """Apply one observation (x, y_true) to the exemplars held by ``index``.
 
     An empty index forces an insert (infinite output distance, no hit, no
@@ -104,19 +98,19 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
     n = len(index)
     if not n:
         index.insert(x, y_true)
-        return StepOutcome(step_index, None, math.inf, False, Action.INSERT, 1, +1)
+        return StepOutcome(None, math.inf, False, Action.INSERT, 1, +1)
 
     sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
     d = output_metric.distance(index.output(sampled), y_true)
 
     if d > config.epsilon:
         index.insert(x, y_true)
-        return StepOutcome(step_index, sampled, d, False, Action.INSERT, n + 1, +1)
+        return StepOutcome(sampled, d, False, Action.INSERT, n + 1, +1)
 
     if resolve_hit_action(config.remove_probability, rng) is Action.REMOVE:
         index.remove(sampled)
-        return StepOutcome(step_index, sampled, d, True, Action.REMOVE, n - 1, -1)
-    return StepOutcome(step_index, sampled, d, True, Action.KEEP, n, 0)
+        return StepOutcome(sampled, d, True, Action.REMOVE, n - 1, -1)
+    return StepOutcome(sampled, d, True, Action.KEEP, n, 0)
 
 
 def run_stream(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
@@ -134,5 +128,4 @@ def run_stream(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
         rng = RandomStream(config.seed, learner_stream_index(0))
     if index is None:
         index = LinearScanIndex(input_metric)
-    return [step(index, x, y, output_metric, config, rng, k)
-            for k, (x, y) in enumerate(pairs, 1)]
+    return [step(index, x, y, output_metric, config, rng) for x, y in pairs]

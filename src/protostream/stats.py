@@ -17,7 +17,7 @@ class WindowStats:
     exactly, because every miss inserts (+1) and the only -1 is a removal.
     Each step sits in the window as the one int ``2 * delta + hit``, so
     ``event & 1`` is the hit and ``event >> 1`` the size delta.  The step
-    index and model size are the caller's to read off the ``StepOutcome``.
+    index is the caller's own count; the model size is on the ``StepOutcome``.
     """
 
     __slots__ = ("window_size", "_events", "_hits", "_delta_sum")
@@ -42,10 +42,6 @@ class WindowStats:
             self._hits -= old & 1
             self._delta_sum -= old >> 1
         return self
-
-    @property
-    def window_fill(self) -> int:
-        return len(self._events)
 
     @property
     def hit_rate(self) -> float:

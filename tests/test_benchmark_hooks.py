@@ -1,9 +1,9 @@
-"""The benchmark tracer's patch points still reach a traced ``run``.
+"""The benchmark tracer's patch points still reach a traced ``run`` and ``verify``.
 
 ``perfbench/tracer.py`` replaces package functions by name.  If one of those
-names moves, a traced benchmark run fails or silently counts nothing; this
-test runs one small traced ``run`` in a fresh interpreter and checks that
-every step and every stream point went through the patched functions.
+names moves, a traced benchmark run fails or silently counts nothing; these
+tests run small traced commands in a fresh interpreter and check that every
+step, stream point and draw went through the patched functions.
 """
 
 import os
@@ -33,13 +33,17 @@ SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_traced_run_counts_every_step_and_point(tmp_path):
+def _run_traced(script: str, *args) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(tmp_path / "t.csv")],
+    return subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench"), *map(str, args)],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_traced_run_counts_every_step_and_point(tmp_path):
+    proc = _run_traced(SCRIPT, tmp_path / "t.csv")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -52,13 +56,8 @@ SIZE_DELTA = {"Insert": 1, "Remove": -1, "Keep": 0}
 def test_traced_run_counts_every_draw(tmp_path):
     # next_unit, next_below and sample_uniform all draw through next_u64,
     # the one method the tracer wraps, so it sees every draw.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     out = tmp_path / "t.csv"
-    proc = subprocess.run(
-        [sys.executable, "-c", DRAWS_SCRIPT, str(ROOT / "perfbench"), str(out)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_traced(DRAWS_SCRIPT, out)
     assert proc.returncode == 0, proc.stderr
     rows = read_trace(str(out))
     # One draw per 1-D input point, one tie-break sample per step that finds
@@ -69,3 +68,27 @@ def test_traced_run_counts_every_draw(tmp_path):
     coins = sum(row.hit for row in rows)
     assert (points, samples, coins) == (200, 199, 142)
     assert int(proc.stdout.split()[-1]) == points + samples + coins == 541
+
+
+# A traced verify in this process (--jobs 1: a pool worker's spans are never
+# collected).  The counts are too small for its tolerances, so only the
+# step count is checked, not the verdict.
+VERIFY_SCRIPT = textwrap.dedent("""
+    import sys
+    sys.path.insert(0, sys.argv[1])
+    import tracer
+    t = tracer.Tracer()
+    t.install("euclidean", "sine_1d")
+    from protostream import cli
+    cli.main(["verify", "--jobs", "1", "--branch-trials", "300", "--miss-trials", "200",
+              "--growth-steps", "1000", "--theorem-steps", "2000"])
+    print(t.summary()["learner.steps"][0])
+""")
+
+
+def test_traced_verify_counts_every_step():
+    # Four branch runs and the miss run step the fixed model once per
+    # trial, three theorem runs once per step; growth runs never step.
+    proc = _run_traced(VERIFY_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) == 4 * 300 + 200 + 3 * 2000 == 7400

@@ -23,10 +23,10 @@ FAST_VERIFY = [
 def test_parse_config_defaults_and_flags():
     cfg = parse_config(["run", "--q", "0.75", "--steps", "123"])
     assert cfg.subcommand == "run"
-    assert cfg.q == 0.75
-    assert cfg.steps == 123
-    assert cfg.epsilon == 0.05
-    assert cfg.index == "vptree"
+    assert cfg.values["q"] == 0.75
+    assert cfg.values["steps"] == 123
+    assert cfg.values["epsilon"] == 0.05
+    assert cfg.values["index"] == "vptree"
 
 
 def test_q_at_one_rejected_with_bound_in_message(capsys):
@@ -68,9 +68,9 @@ def test_config_file_values_and_flag_override(tmp_path):
         "\n"
     )
     cfg = parse_config(["run", "--config", str(cfg_file), "--q", "0.6"])
-    assert cfg.q == 0.6
-    assert cfg.epsilon == 0.2
-    assert cfg.steps == 50
+    assert cfg.values["q"] == 0.6
+    assert cfg.values["epsilon"] == 0.2
+    assert cfg.values["steps"] == 50
 
 
 def test_config_file_unknown_key_rejected(tmp_path, capsys):
@@ -82,9 +82,10 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
 
 def test_config_file_malformed_value_rejected(tmp_path):
     cfg_file = tmp_path / "bad.cfg"
-    cfg_file.write_text("q = banana\n")
-    with pytest.raises(ConfigError):
+    cfg_file.write_text("# settings\nq = 0.9x\n")
+    with pytest.raises(ConfigError) as exc:
         parse_config(["run", "--config", str(cfg_file)])
+    assert str(exc.value) == f"{cfg_file}:2: malformed value for key 'q': '0.9x'"
 
 
 def test_config_file_missing_equals_rejected(tmp_path):
@@ -176,6 +177,21 @@ def test_sweep_writes_traces_and_summary(tmp_path):
         assert len(fields) == 7
         assert fields[6] in ("0", "1")
         assert int(fields[3]) >= 0
+
+
+# SHA-256 of summary.csv for this sweep, taken when each sweep worker still
+# returned a dict that cmd_sweep formatted.
+SWEEP_SUMMARY_SHA256 = "f0f3a378383c1cc93f4cb8da31df194d687de8837e0124d2286e65af71758038"
+
+
+def test_sweep_summary_bytes_are_pinned(tmp_path):
+    args = ["sweep", "--steps", "200", "--epsilon", "0.2",
+            "--q-list", "0.5,0.9", "--seed-list", "1,2"]
+    for jobs in ("1", "2"):
+        out_dir = tmp_path / jobs
+        assert main(args + ["--jobs", jobs, "--output", str(out_dir)]) == 0
+        summary = (out_dir / "summary.csv").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == SWEEP_SUMMARY_SHA256, jobs
 
 
 def test_sweep_empty_list_rejected():

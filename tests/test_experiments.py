@@ -138,7 +138,7 @@ def test_tail_estimators_equal_a_window_over_the_trace(tail_window, tmp_path):
                                 series_window=50, trace_path=path)
     tail = WindowStats(tail_window)
     for row in read_trace(path):
-        tail.update(StepOutcome(row.n, None, row.output_distance, row.hit, Action(row.action),
+        tail.update(StepOutcome(None, row.output_distance, row.hit, Action(row.action),
                                 row.model_size, _DELTA[row.action]))
     assert report.tail_hit_rate == tail.hit_rate
     assert report.tail_mean_delta == tail.mean_size_delta

@@ -175,11 +175,6 @@ def test_vptree_handles_duplicate_heavy_inserts():
     assert idx.query_nearest_set((0.0, 0.0), 0.0) == list(range(100))
 
 
-def test_leaf_capacity_below_one_rejected():
-    with pytest.raises(ConfigError):
-        VpTreeIndex(EUCLID, leaf_capacity=0)
-
-
 def test_outputs_follow_positions_through_rebuilds():
     rng = RandomStream(66, 0)
     lin = LinearScanIndex(EUCLID)
@@ -235,34 +230,38 @@ def test_euclidean_dimension_mismatch_is_not_a_value_error():
     # A larger tree measures a new point on its way down.
     with pytest.raises(DimensionMismatchError):
         VpTreeIndex(EUCLID, [(float(i),) for i in range(40)]).insert((1.0, 2.0))
-    # Once a mismatched point is stored, every split of its leaf fails.
-    tree = VpTreeIndex(EUCLID, [(0.0,), (1.0, 2.0)], leaf_capacity=2)
-    for i in range(2, 6):
+    # Once a mismatched point is stored, every split of its leaf fails: a
+    # full root leaf of 16 points overflows at the 17th.
+    tree = VpTreeIndex(EUCLID, [(1.0, 2.0)] + [(float(i),) for i in range(15)])
+    for i in range(15, 19):
         with pytest.raises(DimensionMismatchError):
             tree.insert((float(i),))
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "chebyshev"])
 def test_failed_split_takes_the_new_point_back_out(metric):
-    # Leaf capacity 2: the third point overflows the root leaf, whose split
+    # A full root leaf of 16 points: the 17th overflows it, and the split
     # cannot measure the stored 2-D point.  Each failed insert used to leave
-    # its point behind (len() went 2 -> 6).
-    tree = VpTreeIndex(METRICS[metric], leaf_capacity=2)
-    tree.insert((0.0,), "a")
+    # its point behind.
+    tree = VpTreeIndex(METRICS[metric])
     tree.insert((1.0, 2.0), "b")
-    for i in range(2, 6):
+    for i in range(15):
+        tree.insert((float(i),), i)
+    for i in range(15, 19):
         with pytest.raises(DimensionMismatchError):
             tree.insert((float(i),), i)
-        assert len(tree) == 2
-    assert [tree.output(0), tree.output(1)] == ["a", "b"]
-    # Removing the mismatched point heals the tree: the rebuild sees one
-    # point, and later inserts split as usual.
-    tree.remove(1)
-    for i in range(2, 6):
+        assert len(tree) == 16
+    assert [tree.output(p) for p in range(16)] == ["b", *range(15)]
+    # Removing the mismatched point heals the tree once a rebuild drops it:
+    # the sixth removal leaves more tombstones than half the live count.
+    # Later inserts overflow the rebuilt leaf and split as usual.
+    for _ in range(6):
+        tree.remove(0)
+    for i in range(15, 25):
         tree.insert((float(i),), i)
-    assert len(tree) == 5
-    assert tree.query_nearest_set((3.1,)) == [2]
-    assert [tree.output(p) for p in range(5)] == ["a", 2, 3, 4, 5]
+    assert len(tree) == 20
+    assert tree.query_nearest_set((16.1,)) == [11]
+    assert [tree.output(p) for p in range(20)] == list(range(5, 25))
 
 
 def test_other_metrics_errors_pass_through():
