@@ -11,7 +11,8 @@ writes the trace CSV; the trace format (``TRACE_HEADER``, the writer and
 pool helper, ``_map_tasks``: ``--jobs`` worker processes (default: the CPU
 count; never more than there are tasks), or this process alone at
 ``--jobs 1``.  Results are collected in task order, so the output does not
-depend on ``jobs``.
+depend on ``jobs``.  ``concurrent.futures`` is imported only when a pool
+starts, so ``run`` and ``--jobs 1`` never load it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, NamedTuple, Optional
@@ -287,6 +287,10 @@ def _map_tasks(fn, tasks: list, jobs: Optional[int]) -> list:
     """
     workers = min(jobs or os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # Imported here: it is a large share of the package's import time, and
+        # ``run`` and a one-worker map never use it.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*tasks)))
     return [fn(*task) for task in tasks]

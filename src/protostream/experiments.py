@@ -20,6 +20,14 @@ literal ``inf``; the window columns reflect the series window after the
 row's step::
 
     n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta
+
+The writer has one path.  ``action`` and ``hit`` come from two tables keyed
+by the step's size delta.  While the series window fills, the window
+columns format ``WindowStats.hit_rate`` and ``mean_size_delta``.  Once it
+holds ``w`` steps, they are ``hits / w`` and ``delta_sum / w``, and their
+text comes from one memo keyed by the integer count, filled on first use:
+the same division and format, so the same bytes, from at most ``2w + 1``
+entries.
 """
 
 from __future__ import annotations
@@ -43,6 +51,20 @@ _ACTIONS = frozenset(action.value for action in Action)
 def format_float(x: float) -> str:
     """17 significant digits: every float round-trips through the text."""
     return f"{x:.17g}"
+
+
+class _RatioText(dict):
+    """``format_float(count / n)`` by integer ``count``, each filled on first use."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, count: int) -> str:
+        text = self[count] = f"{count / self.n:.17g}"
+        return text
 
 
 # The fixed model of the branch experiments; queries sit next to the first.
@@ -157,6 +179,13 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     hits = hits_at_cut = size_at_cut = 0
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
+    # A full window divides its hit count (0..w) and its delta sum (-w..w)
+    # by w, so both columns share one text memo of at most 2w + 1 entries.
+    window_text = _RatioText(series_window)
+    # The action and hit columns by size delta: Insert (+1) is the one
+    # miss, Remove (-1) and Keep (0) are hits.
+    action_text = {+1: Action.INSERT.value, -1: Action.REMOVE.value, 0: Action.KEEP.value}
+    hit_text = {+1: "0", -1: "1", 0: "1"}
     # Closing flushes every completed row, even when a step raises.
     trace = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else nullcontext()
     with trace as out:
@@ -170,10 +199,16 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
                 hits_at_cut, size_at_cut = hits, outcome.model_size_after
             if out:
                 # format_float inlined: 17 significant digits.
-                out.write(f"{k},{outcome.action.value},{outcome.model_size_after},"
-                          f"{outcome.output_distance:.17g},{outcome.hit:d},"
-                          f"{series_stats.hit_rate:.17g},"
-                          f"{series_stats.mean_size_delta:.17g}\n")
+                if k < series_window:
+                    hit_rate = f"{series_stats.hit_rate:.17g}"
+                    mean_delta = f"{series_stats.mean_size_delta:.17g}"
+                else:
+                    hit_rate = window_text[series_stats.hits]
+                    mean_delta = window_text[series_stats.delta_sum]
+                delta = outcome.size_delta
+                out.write(f"{k},{action_text[delta]},{outcome.model_size_after},"
+                          f"{outcome.output_distance:.17g},{hit_text[delta]},"
+                          f"{hit_rate},{mean_delta}\n")
             if k % series_window == 0:
                 series.append(SeriesPoint(k, outcome.model_size_after,
                                           series_stats.hit_rate,

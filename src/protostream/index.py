@@ -4,7 +4,8 @@ Both backends answer the same question: the ordered list of positions in
 the current point sequence whose distance to the query is within
 ``tie_tolerance`` (relative) of the exact minimum.  ``LinearScanIndex``
 is the reference; ``VpTreeIndex`` prunes with the triangle inequality
-and must return the identical position set for any operation sequence.
+and must return the identical position set for any operation sequence
+that both accept (see below for the inserts only the linear scan accepts).
 Each backend is also the learner's exemplar store: ``insert(point,
 output)`` keeps the output with its point and ``output(position)`` reads
 it back.
@@ -28,6 +29,14 @@ Neither backend checks a point's dimension when it does not measure it:
 its root is still a leaf.  Such a point is stored, and the next query
 raises DimensionMismatchError.  An insert that raises, on the way down or
 in the split of an overflowing leaf, leaves the index as it was.
+
+A split drops removed ids before it measures, and once the root has split
+every stored point, removed ones included, has the root vantage point's
+dimension.  So a tree insert whose point has the dimension of every live
+point never raises.  Where the live points' dimensions differ, the tree's
+descent or split may raise where the linear scan stores the point: the two
+backends accept the same inserts only while the live points share one
+dimension.
 """
 
 from __future__ import annotations
@@ -233,14 +242,19 @@ class VpTreeIndex:
     def _split(self, node: _Node) -> None:
         # Iteratively split oversized leaves; a leaf whose points all sit
         # at one distance from the vantage cannot make progress and is
-        # kept oversized.
+        # kept oversized.  Only the leaf handed in can hold dead ids (child
+        # buckets come from measured, live ids): they are dropped before
+        # anything is measured, and a leaf they alone made oversized is
+        # stored without them and not split.  No node changes before the
+        # first distance pass, so a split that raises leaves the tree as it was.
         dist = self._distance
         pts = self._points
-        stack = [node]
+        alive = self._alive
+        stack = [(node, [i for i in node.bucket if alive[i]])]
         while stack:
-            leaf = stack.pop()
-            bucket = leaf.bucket
+            leaf, bucket = stack.pop()
             if len(bucket) <= _LEAF_CAPACITY:
+                leaf.bucket = bucket
                 continue
             vantage = bucket[len(bucket) // 2]
             rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]
@@ -250,14 +264,15 @@ class VpTreeIndex:
             inner = [i for d, i in pairs if d <= mu]
             outer = [i for d, i in pairs if d > mu]
             if not outer:
+                leaf.bucket = bucket
                 continue
             leaf.vantage = vantage
             leaf.mu = mu
             leaf.inner = _Node(inner)
             leaf.outer = _Node(outer)
             leaf.bucket = None
-            stack.append(leaf.inner)
-            stack.append(leaf.outer)
+            stack.append((leaf.inner, inner))
+            stack.append((leaf.outer, outer))
 
     # -- queries ---------------------------------------------------------
 

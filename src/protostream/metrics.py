@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .errors import DimensionMismatchError
 
@@ -94,7 +94,6 @@ class TargetFunction:
     evaluate: Callable[[Point], Any]
     output_metric: str
     domain: tuple[tuple[float, float], ...]
-    lipschitz_bound: Optional[float] = None
 
 
 def _sine_1d(p: Point) -> float:
@@ -117,10 +116,7 @@ def _quantized_labeler(p: Point) -> int:
 TARGETS: dict[str, TargetFunction] = {
     t.name: t
     for t in (
-        TargetFunction(
-            "sine_1d", _sine_1d, "absolute_difference",
-            ((0.0, 2.0 * math.pi),), lipschitz_bound=1.0,
-        ),
+        TargetFunction("sine_1d", _sine_1d, "absolute_difference", ((0.0, 2.0 * math.pi),)),
         TargetFunction("step_1d", _step_1d, "absolute_difference", ((0.0, 1.0),)),
         TargetFunction("quantized_labeler", _quantized_labeler, "discrete", ((0.0, 1.0),)),
     )

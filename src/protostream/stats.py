@@ -44,6 +44,16 @@ class WindowStats:
         return self
 
     @property
+    def hits(self) -> int:
+        """Hits among the steps in the window."""
+        return self._hits
+
+    @property
+    def delta_sum(self) -> int:
+        """Sum of the size deltas of the steps in the window, in ``-n..n``."""
+        return self._delta_sum
+
+    @property
     def hit_rate(self) -> float:
         n = len(self._events)
         return self._hits / n if n else 0.0

@@ -3,6 +3,8 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -148,6 +150,35 @@ def test_run_same_args_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+# SHA-256 of `run --q 0.9 --epsilon 0.1 --seed 3 --window W --steps N`
+# traces, taken when every row formatted its window columns from floats.
+# The rows of window 7 straddle the step where the window fills; window
+# 500 never fills in 300 steps.
+_TRACE_SHA256 = {
+    (7, 400): "60d08838c7b7003fbc20fa1a8f8a970dd096c74799116dc5517455088e334919",
+    (1, 300): "9357853138ac97a4f27fb8e5577c42bd77cbaacebf472488326b4c9dfb53b794",
+    (500, 300): "5e9f25b998bf79305a86acdd2d67dd0ea0315cddccc55f8d8675acb6bbf7559d",
+}
+_DELTA = {"Insert": 1, "Remove": -1, "Keep": 0}
+
+
+@pytest.mark.parametrize("window,steps", sorted(_TRACE_SHA256))
+def test_run_trace_bytes_are_pinned(window, steps, tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["run", "--q", "0.9", "--epsilon", "0.1", "--seed", "3",
+                 "--window", str(window), "--steps", str(steps), "--output", str(out)]) == 0
+    data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _TRACE_SHA256[window, steps]
+    # Each row's window columns are the hit count and the delta sum of the
+    # last min(n, window) rows over that count, at 17 significant digits.
+    rows = [line.split(",") for line in data.decode().splitlines()[1:]]
+    for k, row in enumerate(rows, 1):
+        last = rows[max(k - window, 0):k]
+        hits = sum(r[4] == "1" for r in last)
+        delta_sum = sum(_DELTA[r[1]] for r in last)
+        assert row[5:] == [f"{hits / len(last):.17g}", f"{delta_sum / len(last):.17g}"], k
+
+
 def test_run_unwritable_output_exits_three(tmp_path, capsys):
     target = tmp_path / "no-such-dir" / "trace.csv"
     assert main(["run", "--steps", "10", "--output", str(target)]) == 3
@@ -159,6 +190,18 @@ def test_run_grid_stream_respects_lattice_limit(tmp_path):
     code = main(["run", "--stream", "grid", "--grid-resolution", "3",
                  "--steps", "100", "--output", str(out)])
     assert code == 2
+
+
+def test_run_does_not_import_the_pool(tmp_path):
+    # Only a sweep or verify with more than one worker needs the process
+    # pool, and importing it is a large share of the package's import time.
+    trace = str(tmp_path / "t.csv")
+    for code in ("import protostream.cli",
+                 f"from protostream.cli import main; main(['run', '--steps', '10', '--output', {trace!r}])"):
+        probe = f"import sys; {code}; print('concurrent.futures' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              check=True, timeout=60)
+        assert done.stdout.splitlines()[-1] == "False", code
 
 
 def test_sweep_writes_traces_and_summary(tmp_path):

@@ -1,5 +1,6 @@
 """Invalid inputs end in exit 2 before any output; sweep and verify size their pools."""
 
+import concurrent.futures
 import math
 import os
 import tempfile
@@ -192,7 +193,8 @@ class _RecordingPool:
 def recording_pool(monkeypatch):
     monkeypatch.setattr(_RecordingPool, "created", [])
     monkeypatch.setattr(_RecordingPool, "submitted", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    # cli imports the pool class from concurrent.futures when a pool starts.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     return _RecordingPool
 
 
@@ -331,7 +333,7 @@ def test_run_int_flags_end_in_a_defined_exit_code(values, sweep_jobs):
     # With sweep_jobs the same flags go to a one-run sweep with --jobs, which
     # never needs a pool, whatever jobs says.
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cli, "ProcessPoolExecutor", _NoPool):
+            mock.patch.object(concurrent.futures, "ProcessPoolExecutor", _NoPool):
         out = os.path.join(tmp, "out")
         argv = ["run" if sweep_jobs is None else "sweep", f"--output={out}"]
         argv += [f"--{flag}={value}" for flag, value in values.items()]

@@ -2,7 +2,8 @@
 
 The README promises that the tree evaluates the metric at most once per
 stored point per query, and the learner relies on the two backends giving
-identical whole runs, series included.
+identical whole runs, series included.  Removed points must not decide
+whether an insert of mixed-dimension points succeeds.
 """
 
 import dataclasses
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protostream.errors import DimensionMismatchError
 from protostream.experiments import theorem_experiment
-from protostream.index import VpTreeIndex
+from protostream.index import LinearScanIndex, VpTreeIndex
 from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, MetricDescriptor
 from protostream.rng import RandomStream, points_stream_index
@@ -127,3 +129,61 @@ def test_whole_run_parity_property(seed, q, epsilon, tie_tol, stream, metric, di
     config = LearnerConfig(epsilon=epsilon, q=q, seed=seed, tie_tolerance=tie_tol)
     _assert_runs_equal(TARGETS["sine_1d"], config, gen, steps, metric=METRICS[metric],
                        tail_window=500, series_window=25)
+
+
+# Batches of 1-D or 2-D inserts on a small lattice, batches of removals at
+# one position (taken modulo the live count), and purges of every live point
+# of one dimension: a purge leaves the removed points in their leaves, and a
+# later batch of the other dimension overflows and splits those leaves.
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("insert"), st.integers(1, 2), st.integers(1, 24)),
+    st.tuples(st.just("remove"), st.integers(0, 31), st.integers(1, 8)),
+    st.tuples(st.just("purge"), st.integers(1, 2), st.just(0))),
+    max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS)
+def test_tombstones_never_decide_an_insert(ops):
+    # While every live point has the new point's dimension the tree insert
+    # must succeed; otherwise its descent may measure a live point of the
+    # other dimension and raise, which leaves the tree as it was.
+    lin = LinearScanIndex(EUCLID)
+    tree = VpTreeIndex(EUCLID)
+    live = []  # the points both backends hold, in position order
+
+    def remove(pos):
+        lin.remove(pos)
+        tree.remove(pos)
+        del live[pos]
+
+    for kind, arg, count in ops:
+        if kind == "purge":
+            for pos in reversed(range(len(live))):
+                if len(live[pos]) == arg:
+                    remove(pos)
+        elif kind == "remove":
+            for _ in range(min(count, len(live))):
+                remove(arg % len(live))
+        else:
+            for i in range(count):
+                v = (7 * len(live) + 3 * i) % 21
+                point = (float(v),) if arg == 1 else (float(v), float(v % 5))
+                if all(len(p) == arg for p in live):
+                    tree.insert(point, len(live))
+                else:
+                    try:
+                        tree.insert(point, len(live))
+                    except DimensionMismatchError:
+                        continue
+                lin.insert(point, len(live))
+                live.append(point)
+        assert len(tree) == len(lin) == len(live)
+        assert [tree.output(p) for p in range(len(tree))] == \
+               [lin.output(p) for p in range(len(lin))]
+        dims = {len(p) for p in live}
+        if len(dims) == 1:
+            one_d = dims == {1}
+            for v in (0.2, 6.5, 13.0, 19.9):
+                x = (v,) if one_d else (v, v % 5)
+                assert tree.query_nearest_set(x) == lin.query_nearest_set(x)

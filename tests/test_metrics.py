@@ -107,7 +107,6 @@ def test_sine_target_known_values():
     assert target.output_metric == "absolute_difference"
     (lo, hi), = target.domain
     assert lo == 0.0 and hi == 2.0 * math.pi
-    assert target.lipschitz_bound == 1.0
 
 
 def test_step_target_threshold():
