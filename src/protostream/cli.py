@@ -13,6 +13,10 @@ count; never more than there are tasks), or this process alone at
 ``--jobs 1``.  Results are collected in task order, so the output does not
 depend on ``jobs``.  ``concurrent.futures`` is imported only when a pool
 starts, so ``run`` and ``--jobs 1`` never load it.
+
+``verify`` takes ``seed``, ``jobs`` and its five sample sizes.  Each verify
+experiment returns its finished checks; a theorem run counts as stabilized
+exactly when its ``tail_mean_delta`` check passes.
 """
 
 from __future__ import annotations
@@ -80,9 +84,9 @@ _RUNS = ("run", "sweep")
 # defaults all come from this table, in this order.
 KEYS = {
     "seed": _Key(int, 0, _ALL),
-    "index": _Key(str, "vptree", _ALL, INDEX_KINDS),
-    "window": _Key(int, 1000, _ALL, help="sliding-window size for trace stats", count=True),
-    "delta": _Key(float, 0.01, _ALL, help="stabilization threshold on |mean size delta|"),
+    "index": _Key(str, "vptree", _RUNS, INDEX_KINDS),
+    "window": _Key(int, 1000, _RUNS, help="sliding-window size for trace stats", count=True),
+    "delta": _Key(float, 0.01, _RUNS, help="stabilization threshold on |mean size delta|"),
     "target": _Key(str, "sine_1d", _RUNS, tuple(sorted(TARGETS))),
     "metric": _Key(str, "euclidean", _RUNS, INPUT_METRICS),
     "epsilon": _Key(float, 0.05, _RUNS),
@@ -193,14 +197,16 @@ def parse_config(argv) -> CliConfig:
 
 
 def _validate(v: dict) -> None:
-    """The checks no dataclass makes: names from config files, counts, delta."""
+    """Checks made before any experiment starts: choices, counts, seed, delta."""
     for name, value in v.items():
         key = KEYS[name]
         if key.choices and value not in key.choices:
             raise ConfigError(f"unknown {name} '{value}'; expected one of {', '.join(key.choices)}")
         if key.count and value is not None and value < 1:
             raise ConfigError(f"{name} must be at least 1, got {value}")
-    if not 0.0 <= v["delta"] < math.inf:
+    if v["seed"] < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {v['seed']}")
+    if not 0.0 <= v.get("delta", 0.0) < math.inf:
         raise ConfigError(f"delta must be finite and nonnegative, got {v['delta']}")
 
 
@@ -353,90 +359,80 @@ STABILIZATION_TOL = 0.01
 THEOREM_HIT_TOL = 0.03
 
 # verify's experiments as (kind, i), longest first, so that the pool's
-# workers finish close together; the checks are printed in their own order.
+# workers finish close together; their checks print in VERIFY_ORDER.
+VERIFY_ORDER = ("branch", "miss", "growth", "theorem")
 VERIFY_TASKS = ([("theorem", i) for i in range(len(THEOREM_QS))]
                 + [("branch", i) for i in range(len(BRANCH_QS))]
                 + [("growth", i) for i in range(len(GROWTH_CELLS))]
                 + [("miss", 0)])
 
 
-def _verify_task(v: dict, kind: str, i: int):
-    """Run experiment ``i`` of ``kind``; return only what its checks need."""
+def _verify_task(v: dict, kind: str, i: int) -> list:
+    """Run experiment ``i`` of ``kind``; return its finished checks.
+
+    A check is ``(name, measured, expected, tolerance)``: tolerance None
+    means an exact check, and measured None a value that could not be
+    measured because the model size did not stabilize.
+    """
     base_seed = v["seed"]
     if kind == "branch":
-        remove_freq, _keep_freq = conditional_branch_experiment(
-            BRANCH_QS[i], v["branch_trials"], base_seed + i)
-        return remove_freq
+        q = BRANCH_QS[i]
+        freq, _keep_freq = conditional_branch_experiment(q, v["branch_trials"], base_seed + i)
+        exact = q == 0.5
+        return [(f"conditional-branch q={q:g} remove_frequency", freq, 1.0 / q - 1.0,
+                 None if exact else BRANCH_TOL),
+                (f"conditional-branch q={q:g} hit_mean_delta", -freq, 1.0 - 1.0 / q,
+                 None if exact else HIT_DELTA_TOL)]
     if kind == "miss":
-        return forced_miss_experiment(v["miss_trials"], base_seed + 17)
+        return [("miss-branch insert_fraction",
+                 forced_miss_experiment(v["miss_trials"], base_seed + 17), 1.0, None)]
     if kind == "growth":
         # --inject-removal-probability replaces the removal coin of these
         # runs only: they are the checks a wrong coin must fail.
         p, q = GROWTH_CELLS[i]
-        return growth_identity_experiment(p, q, v["growth_steps"], base_seed + 100 + i,
-                                          v["inject_removal_probability"])
+        delta = growth_identity_experiment(p, q, v["growth_steps"], base_seed + 100 + i,
+                                           v["inject_removal_probability"])
+        tol = None if p == 0.0 or (p == 1.0 and q == 0.5) else GROWTH_TOL
+        return [(f"growth-identity p={p:g} q={q:g} mean_delta", delta, 1.0 - p / q, tol)]
+    q = THEOREM_QS[i]
     target = TARGETS["sine_1d"]
-    config = LearnerConfig(epsilon=0.05, q=THEOREM_QS[i], seed=base_seed + 200 + i)
+    config = LearnerConfig(epsilon=0.05, q=q, seed=base_seed + 200 + i)
     generator = IidUniform(target.domain, config.seed, points_stream_index(0))
+    # "Stabilized" is exactly the tail_mean_delta check passing.
     report = theorem_experiment(
         target, METRICS["euclidean"], config, generator, v["theorem_steps"],
-        tail_window=v["tail_window"], series_window=v["window"],
-        stabilization_delta=v["delta"], index_kind=v["index"])
-    return report.tail_mean_delta, report.stabilized, report.tail_hit_rate
+        tail_window=v["tail_window"], stabilization_delta=STABILIZATION_TOL)
+    return [(f"theorem q={q:g} tail_mean_delta", report.tail_mean_delta, 0.0, STABILIZATION_TOL),
+            (f"theorem q={q:g} tail_hit_rate",
+             report.tail_hit_rate if report.stabilized else None, q, THEOREM_HIT_TOL)]
 
 
-def _check(lines: list, name: str, measured: float, expected: float,
-           tol: Optional[float]) -> bool:
+def _verdict(name: str, measured: Optional[float], expected: float,
+             tol: Optional[float]) -> tuple[bool, str]:
+    """Whether one check passed, and its line."""
+    if measured is None:
+        return False, f"[FAIL] {name}: not evaluated, size did not stabilize"
     if tol is None:
         ok = measured == expected
         tol_text = "exact"
     else:
         ok = abs(measured - expected) <= tol
         tol_text = f"tol {tol:g}"
-    lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}: measured={measured:.6g} "
-                 f"expected={expected:.6g} ({tol_text})")
-    return ok
+    return ok, (f"[{'PASS' if ok else 'FAIL'}] {name}: measured={measured:.6g} "
+                f"expected={expected:.6g} ({tol_text})")
 
 
 def cmd_verify(cfg: CliConfig) -> int:
     v = cfg.values
-    results = dict(zip(VERIFY_TASKS, _map_tasks(
-        _verify_task, [(v, kind, i) for kind, i in VERIFY_TASKS], v["jobs"])))
-    lines: list[str] = []
+    results = _map_tasks(_verify_task, [(v, kind, i) for kind, i in VERIFY_TASKS], v["jobs"])
     ok = True
-
-    for i, q in enumerate(BRANCH_QS):
-        remove_freq = results["branch", i]
-        expected = 1.0 / q - 1.0
-        tol = None if q == 0.5 else BRANCH_TOL
-        ok &= _check(lines, f"conditional-branch q={q:g} remove_frequency",
-                     remove_freq, expected, tol)
-        ok &= _check(lines, f"conditional-branch q={q:g} hit_mean_delta",
-                     -remove_freq, 1.0 - 1.0 / q,
-                     None if q == 0.5 else HIT_DELTA_TOL)
-
-    ok &= _check(lines, "miss-branch insert_fraction", results["miss", 0], 1.0, None)
-
-    for i, (p, q) in enumerate(GROWTH_CELLS):
-        expected = 1.0 - p / q
-        exact = p == 0.0 or (p == 1.0 and q == 0.5)
-        ok &= _check(lines, f"growth-identity p={p:g} q={q:g} mean_delta",
-                     results["growth", i], expected, None if exact else GROWTH_TOL)
-
-    for i, q in enumerate(THEOREM_QS):
-        tail_mean_delta, stabilized, tail_hit_rate = results["theorem", i]
-        ok &= _check(lines, f"theorem q={q:g} tail_mean_delta",
-                     tail_mean_delta, 0.0, STABILIZATION_TOL)
-        if stabilized:
-            ok &= _check(lines, f"theorem q={q:g} tail_hit_rate",
-                         tail_hit_rate, q, THEOREM_HIT_TOL)
-        else:
-            lines.append(f"[FAIL] theorem q={q:g} tail_hit_rate: "
-                         f"not evaluated, size did not stabilize")
-            ok = False
-
-    for line in lines:
-        print(line)
+    # sorted is stable, and VERIFY_TASKS lists each kind by ascending i.
+    for _task, checks in sorted(zip(VERIFY_TASKS, results),
+                                key=lambda done: VERIFY_ORDER.index(done[0][0])):
+        for check in checks:
+            passed, line = _verdict(*check)
+            ok &= passed
+            print(line)
     print("verify:", "all checks passed" if ok else "some checks FAILED")
     return 0 if ok else 1
 

@@ -100,10 +100,10 @@ def _check_position(position: int, n: int) -> None:
 class LinearScanIndex:
     """Brute-force backend; the oracle the tree is checked against."""
 
-    def __init__(self, metric: MetricDescriptor, points=()):
+    def __init__(self, metric: MetricDescriptor):
         self._distance, self._mismatch = _resolve(metric)
-        self._points = list(points)
-        self._outputs = [None] * len(self._points)
+        self._points: list = []
+        self._outputs: list = []
 
     def __len__(self) -> int:
         return len(self._points)
@@ -157,15 +157,13 @@ class VpTreeIndex:
     positions, vantage picks and tie orders are unchanged by it.
     """
 
-    def __init__(self, metric: MetricDescriptor, points=()):
+    def __init__(self, metric: MetricDescriptor):
         self._distance, self._mismatch = _resolve(metric)
         self._points: list = []       # by internal id, compacted at rebuild
         self._outputs: list = []      # by internal id, compacted at rebuild
         self._alive: list[bool] = []  # by internal id
         self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
-        for p in points:
-            self.insert(p)
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -6,13 +6,14 @@ tests run small traced commands in a fresh interpreter and check that every
 step, stream point and draw went through the patched functions.
 """
 
+import importlib.util
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
-from protostream.cli import read_trace
+from protostream.cli import parse_config, read_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -92,3 +93,26 @@ def test_traced_verify_counts_every_step():
     proc = _run_traced(VERIFY_SCRIPT)
     assert proc.returncode == 0, proc.stderr
     assert int(proc.stdout.split()[-1]) == 4 * 300 + 200 + 3 * 2000 == 7400
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # Each CLI workload's argv, built as perfbench/child.py builds it: a key
+    # the benchmark passes cannot be renamed or dropped without failing here.
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    kinds = set()
+    for name, workload in run.WORKLOADS.items():
+        if workload["kind"] == "run":
+            argv = workload["argv"] + ["--steps", str(workload["steps"]), "--seed", "0",
+                                       "--output", str(tmp_path / "t.csv")]
+        elif workload["kind"] == "verify":
+            argv = ["verify", "--seed", "0"]
+            for key, value in workload["params"].items():
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            continue
+        assert parse_config(argv).subcommand == argv[0], name
+        kinds.add(workload["kind"])
+    assert kinds == {"run", "verify"}

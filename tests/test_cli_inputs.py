@@ -128,6 +128,37 @@ def test_injection_flag_is_not_a_config_file_key(tmp_path):
         cli.parse_config(["verify", "--config", str(cfg_file)])
 
 
+def _no_experiment(*args, **kwargs):
+    raise AssertionError("an experiment started")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+def test_negative_seed_is_refused_before_any_experiment(command, monkeypatch, tmp_path,
+                                                        capsys):
+    monkeypatch.setattr(cli, "_map_tasks", _no_experiment)
+    monkeypatch.setattr(cli, "theorem_experiment", _no_experiment)
+    out = tmp_path / "out"
+    argv = [command, "--seed", "-1"] + ([] if command == "verify" else ["--output", str(out)])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("window", "7"), ("delta", "0.01"),
+                                        ("index", "linear")])
+def test_verify_refuses_the_run_only_keys(key, value, monkeypatch, tmp_path, capsys):
+    # These keys shape run and sweep traces; no verify verdict depends on them.
+    monkeypatch.setattr(cli, "_map_tasks", _no_experiment)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", f"--{key}", value])
+    assert exc.value.code == 2
+    cfg_file = tmp_path / "v.cfg"
+    cfg_file.write_text(f"{key} = {value}\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(cfg_file)]) == 2
+    assert f"unknown key '{key}' for verify" in capsys.readouterr().err
+
+
 def test_config_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_bytes(b"q = 0.9\xff\n")

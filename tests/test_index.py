@@ -21,6 +21,14 @@ EUCLID = METRICS["euclidean"]
 CHEBY = METRICS["chebyshev"]
 
 
+def _filled(cls, metric, points):
+    """A ``cls`` index holding ``points`` in order, each inserted without an output."""
+    idx = cls(metric)
+    for p in points:
+        idx.insert(p)
+    return idx
+
+
 def test_linear_tie_set_single_point():
     assert linear_tie_set([(0.0,)], (5.0,), EUCLID.distance, 0.0) == [0]
 
@@ -49,7 +57,7 @@ def test_unknown_index_kind_rejected():
 def test_all_identical_points_are_all_tied():
     pts = [(2.0, 2.0)] * 7
     for kind in ("linear", "vptree"):
-        idx = INDEXES[kind](EUCLID, pts)
+        idx = _filled(INDEXES[kind], EUCLID, pts)
         assert idx.query_nearest_set((0.0, 0.0), 0.0) == list(range(7))
 
 
@@ -63,7 +71,7 @@ def test_insert_then_query_sees_new_point():
 
 def test_remove_promotes_runner_up():
     for kind in ("linear", "vptree"):
-        idx = INDEXES[kind](EUCLID, [(1.0,), (2.0,), (3.0,)])
+        idx = _filled(INDEXES[kind], EUCLID, [(1.0,), (2.0,), (3.0,)])
         assert idx.query_nearest_set((0.0,), 0.0) == [0]
         idx.remove(0)
         # positions shift down after removal
@@ -72,7 +80,7 @@ def test_remove_promotes_runner_up():
 
 
 def test_remove_out_of_range():
-    idx = INDEXES["vptree"](EUCLID, [(1.0,)])
+    idx = _filled(VpTreeIndex, EUCLID, [(1.0,)])
     with pytest.raises(PositionOutOfRangeError):
         idx.remove(1)
     with pytest.raises(PositionOutOfRangeError):
@@ -154,8 +162,8 @@ def test_query_distance_evaluations_bounded_by_size():
 def test_rebuild_preserves_live_set():
     rng = RandomStream(55, 0)
     pts = [_random_point(rng, 2) for _ in range(200)]
-    lin = LinearScanIndex(EUCLID, pts)
-    vpt = INDEXES["vptree"](EUCLID, pts)
+    lin = _filled(LinearScanIndex, EUCLID, pts)
+    vpt = _filled(VpTreeIndex, EUCLID, pts)
     # removing most points forces at least one tombstone rebuild
     for _ in range(180):
         pos = rng.next_below(len(lin))
@@ -207,7 +215,7 @@ def test_failed_insert_leaves_the_tree_unchanged(metric):
     # behind in no bucket.
     m = METRICS[metric]
     rng = RandomStream(8, 0)
-    idx = VpTreeIndex(m, [_random_point(rng, 1) for _ in range(40)])
+    idx = _filled(VpTreeIndex, m, [_random_point(rng, 1) for _ in range(40)])
     queries = [_random_point(rng, 1) for _ in range(20)]
     before = [idx.query_nearest_set(x, 0.0) for x in queries]
     with pytest.raises(DimensionMismatchError):
@@ -218,21 +226,21 @@ def test_failed_insert_leaves_the_tree_unchanged(metric):
 
 def test_euclidean_dimension_mismatch_is_not_a_value_error():
     for kind in ("linear", "vptree"):
-        idx = INDEXES[kind](EUCLID, [(float(i),) for i in range(40)])
+        idx = _filled(INDEXES[kind], EUCLID, [(float(i),) for i in range(40)])
         with pytest.raises(DimensionMismatchError):
             idx.query_nearest_set((1.0, 2.0))
         # A one-point index stores a new point without measuring it (the
         # tree has no vantage point yet); the next query meets it.
-        idx = INDEXES[kind](EUCLID, [(0.0,)])
+        idx = _filled(INDEXES[kind], EUCLID, [(0.0,)])
         idx.insert((1.0, 2.0))
         with pytest.raises(DimensionMismatchError):
             idx.query_nearest_set((0.0,))
     # A larger tree measures a new point on its way down.
     with pytest.raises(DimensionMismatchError):
-        VpTreeIndex(EUCLID, [(float(i),) for i in range(40)]).insert((1.0, 2.0))
+        _filled(VpTreeIndex, EUCLID, [(float(i),) for i in range(40)]).insert((1.0, 2.0))
     # Once a mismatched point is stored, every split of its leaf fails: a
     # full root leaf of 16 points overflows at the 17th.
-    tree = VpTreeIndex(EUCLID, [(1.0, 2.0)] + [(float(i),) for i in range(15)])
+    tree = _filled(VpTreeIndex, EUCLID, [(1.0, 2.0)] + [(float(i),) for i in range(15)])
     for i in range(15, 19):
         with pytest.raises(DimensionMismatchError):
             tree.insert((float(i),))
@@ -285,7 +293,7 @@ def test_other_metrics_errors_pass_through():
     # that calls math.dist on its own keeps its ValueError.
     raw = MetricDescriptor("raw", math.dist)
     for kind in ("linear", "vptree"):
-        idx = INDEXES[kind](raw, [(float(i),) for i in range(40)])
+        idx = _filled(INDEXES[kind], raw, [(float(i),) for i in range(40)])
         with pytest.raises(ValueError):
             idx.query_nearest_set((1.0, 2.0))
 
