@@ -14,10 +14,16 @@ The tree answers a query in a single descent.  It keeps every live point
 within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
 prunes against that shrinking band, and at the end drops the candidates
 outside the band of the exact minimum.  It keeps the live internal ids in
-one ascending list; a point's position is the rank of its id there.  Each
-rebuild renumbers the live ids to ``0..n-1`` in the same order and drops
-the removed points, so the tree's storage follows the live count, not the
-number of points ever inserted.
+one ascending list; a point's position is the rank of its id there.
+
+A removal takes the id out of its leaf at once and releases its point and
+output, so leaves hold only live ids and a query never measures a removed
+leaf point.  A removed vantage point stays in its node, where it still
+partitions the points below.  Every removed id keeps its slot in the per-id
+lists until the next rebuild, which renumbers the live ids to ``0..n-1`` in
+the same order and drops the slots; it runs once the removed ids outnumber
+twice the live count, so the tree's storage stays within three times the
+live count, not the number of points ever inserted.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
@@ -30,13 +36,13 @@ its root is still a leaf.  Such a point is stored, and the next query
 raises DimensionMismatchError.  An insert that raises, on the way down or
 in the split of an overflowing leaf, leaves the index as it was.
 
-A split drops removed ids before it measures, and once the root has split
-every stored point, removed ones included, has the root vantage point's
-dimension.  So a tree insert whose point has the dimension of every live
-point never raises.  Where the live points' dimensions differ, the tree's
-descent or split may raise where the linear scan stores the point: the two
-backends accept the same inserts only while the live points share one
-dimension.
+Leaves hold only live ids, so a split measures live points only, and once
+the root has split every stored point, removed vantage points included, has
+the root vantage point's dimension.  So a tree insert whose point has the
+dimension of every live point never raises.  Where the live points'
+dimensions differ, the tree's descent or split may raise where the linear
+scan stores the point: the two backends accept the same inserts only while
+the live points share one dimension.
 """
 
 from __future__ import annotations
@@ -129,9 +135,15 @@ class LinearScanIndex:
 
 
 class _Node:
-    """Tree node; ``bucket`` is a list of point ids at leaves, else None."""
+    """Tree node; ``bucket`` is a list of point ids at leaves, else None.
 
-    __slots__ = ("vantage", "mu", "inner", "outer", "bucket")
+    A leaf splits once its bucket outgrows ``cap``.  A split that cannot
+    separate the bucket (every point at one distance from the vantage)
+    doubles the leaf's ``cap``, so the next attempt waits until the bucket
+    has doubled instead of coming at every insert.
+    """
+
+    __slots__ = ("vantage", "mu", "inner", "outer", "bucket", "cap")
 
     def __init__(self, bucket):
         self.vantage = -1
@@ -139,6 +151,7 @@ class _Node:
         self.inner = None
         self.outer = None
         self.bucket = bucket
+        self.cap = _LEAF_CAPACITY
 
 
 class VpTreeIndex:
@@ -146,9 +159,11 @@ class VpTreeIndex:
 
     Inserts descend by the stored split radii, so the partition invariant
     (inner holds exactly the points with d(vantage, p) <= mu) survives
-    mutation.  Removal tombstones; the tree is rebuilt from live points
-    whenever the tombstones, ``len(_points) - len(_ids)``, exceed half the
-    live count.
+    mutation.  Removal takes the id out of the leaf ``_leaf`` names for it;
+    a removed vantage point (``_leaf`` None) stays as a tombstone.  The tree
+    is rebuilt from live points whenever the removed ids still holding a
+    slot, ``len(_points) - len(_ids)``, exceed twice the live count, so
+    ``len(_points)`` never exceeds three times the live count.
 
     Points get increasing internal ids and ``_ids`` lists the live ones in
     ascending order.  Removal keeps the relative order, so a point's
@@ -162,6 +177,7 @@ class VpTreeIndex:
         self._points: list = []       # by internal id, compacted at rebuild
         self._outputs: list = []      # by internal id, compacted at rebuild
         self._alive: list[bool] = []  # by internal id
+        self._leaf: list = []         # by internal id: its leaf, None for a vantage
         self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
 
@@ -190,11 +206,11 @@ class VpTreeIndex:
             self._alive.append(True)
             self._ids.append(pid)
             if node is None:
-                self._root = _Node([pid])
-                return
+                node = self._root = _Node([])
+            self._leaf.append(node)
             bucket = node.bucket
             bucket.append(pid)
-            if len(bucket) > _LEAF_CAPACITY:
+            if len(bucket) > node.cap:
                 try:
                     self._split(node)
                 except Exception:
@@ -206,18 +222,25 @@ class VpTreeIndex:
                     self._outputs.pop()
                     self._alive.pop()
                     self._ids.pop()
+                    self._leaf.pop()
                     raise
         except self._mismatch as exc:
             raise _dimension_error(exc) from None
 
     def remove(self, position: int) -> None:
-        # Points of different dimensions can only share a root leaf of at
-        # most the capacity (insert takes back a point its split cannot
-        # measure), and a rebuild does not split that: it cannot raise.
+        # Points of different dimensions can only share a root leaf (a
+        # descent or split measures every other stored point against the
+        # root vantage), and a rebuild does not split that: it cannot raise.
         _check_position(position, len(self._ids))
         ids = self._ids
-        self._alive[ids.pop(position)] = False
-        if (len(self._points) - len(ids)) * 2 > len(ids):
+        pid = ids.pop(position)
+        self._alive[pid] = False
+        leaf = self._leaf[pid]
+        if leaf is not None:
+            # Only a vantage point is ever measured again.
+            leaf.bucket.remove(pid)
+            self._points[pid] = self._outputs[pid] = None
+        if len(self._points) - len(ids) > 2 * len(ids):
             self._rebuild()
 
     def _rebuild(self) -> None:
@@ -231,28 +254,35 @@ class VpTreeIndex:
         self._ids = list(range(n))
         if not n:
             self._root = None
+            self._leaf = []
             return
         root = _Node(list(range(n)))
-        self._root = root
-        if n > _LEAF_CAPACITY:
+        self._leaf = [root] * n
+        old, self._root = self._root, root
+        if old.bucket is not None:
+            # A root leaf already holds every live id within its cap, and
+            # some of them no split has measured.
+            root.cap = old.cap
+        elif n > _LEAF_CAPACITY:
             self._split(root)
 
     def _split(self, node: _Node) -> None:
         # Iteratively split oversized leaves; a leaf whose points all sit
-        # at one distance from the vantage cannot make progress and is
-        # kept oversized.  Only the leaf handed in can hold dead ids (child
-        # buckets come from measured, live ids): they are dropped before
-        # anything is measured, and a leaf they alone made oversized is
-        # stored without them and not split.  No node changes before the
-        # first distance pass, so a split that raises leaves the tree as it was.
+        # at one distance from the vantage cannot make progress, is kept
+        # oversized and doubles its cap.  Every bucket holds live ids only,
+        # and each id that ends in a leaf or as a vantage is recorded in
+        # ``_leaf``.  No node changes before the first distance pass, so a
+        # split that raises leaves the tree as it was.
         dist = self._distance
         pts = self._points
-        alive = self._alive
-        stack = [(node, [i for i in node.bucket if alive[i]])]
+        leaf_of = self._leaf
+        stack = [node]
         while stack:
-            leaf, bucket = stack.pop()
-            if len(bucket) <= _LEAF_CAPACITY:
-                leaf.bucket = bucket
+            leaf = stack.pop()
+            bucket = leaf.bucket
+            if len(bucket) <= leaf.cap:
+                for i in bucket:
+                    leaf_of[i] = leaf
                 continue
             vantage = bucket[len(bucket) // 2]
             rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]
@@ -262,15 +292,18 @@ class VpTreeIndex:
             inner = [i for d, i in pairs if d <= mu]
             outer = [i for d, i in pairs if d > mu]
             if not outer:
-                leaf.bucket = bucket
+                leaf.cap = 2 * len(bucket)
+                for i in bucket:
+                    leaf_of[i] = leaf
                 continue
+            leaf_of[vantage] = None
             leaf.vantage = vantage
             leaf.mu = mu
             leaf.inner = _Node(inner)
             leaf.outer = _Node(outer)
             leaf.bucket = None
-            stack.append((leaf.inner, inner))
-            stack.append((leaf.outer, outer))
+            stack.append(leaf.inner)
+            stack.append(leaf.outer)
 
     # -- queries ---------------------------------------------------------
 
@@ -314,13 +347,12 @@ class VpTreeIndex:
                         node = node.outer
                     continue
                 for pid in bucket:
-                    if alive[pid]:
-                        d = dist(pts[pid], x)
-                        if d <= bound:
-                            found.append((pid, d))
-                            if d < best:
-                                best = d
-                                bound = best * widen
+                    d = dist(pts[pid], x)
+                    if d <= bound:
+                        found.append((pid, d))
+                        if d < best:
+                            best = d
+                            bound = best * widen
                 node = None
                 while far:
                     child, dv, mu, inner = far.pop()

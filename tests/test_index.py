@@ -260,8 +260,8 @@ def test_failed_split_takes_the_new_point_back_out(metric):
             tree.insert((float(i),), i)
         assert len(tree) == 16
     assert [tree.output(p) for p in range(16)] == ["b", *range(15)]
-    # Removing the mismatched point heals the tree, because a split drops
-    # removed ids before it measures: later inserts split as usual.
+    # Removing the mismatched point heals the tree, because a removal takes
+    # it out of its leaf at once: later inserts split as usual.
     for _ in range(6):
         tree.remove(0)
     for i in range(15, 25):
@@ -272,8 +272,8 @@ def test_failed_split_takes_the_new_point_back_out(metric):
 
 
 def test_split_skips_removed_points():
-    # The removed 2-D point stays in the root leaf as a tombstone; the
-    # split that the 17th live point forces must not measure it.
+    # The removed 2-D point leaves the root leaf at once; the split that
+    # the 17th live point forces must not measure it.
     lin = LinearScanIndex(EUCLID)
     tree = VpTreeIndex(EUCLID)
     for idx in (lin, tree):
@@ -288,6 +288,72 @@ def test_split_skips_removed_points():
         assert tree.query_nearest_set(x) == lin.query_nearest_set(x)
 
 
+def test_rebuild_keeps_an_unmeasured_root_leaf():
+    # Seventeen equal points cannot be split, so the root leaf's cap grows
+    # and a 2-D point joins it unmeasured.  The rebuild that the removals
+    # below force must not split that leaf: a removal never raises.
+    lin = LinearScanIndex(EUCLID)
+    tree = VpTreeIndex(EUCLID)
+    for idx in (lin, tree):
+        for _ in range(17):
+            idx.insert((0.0,))
+        idx.insert((1.0, 2.0))
+    stored = len(tree._points)
+    for _ in range(40):
+        for idx in (lin, tree):
+            idx.insert((0.0,))
+            idx.remove(len(idx) - 1)
+    assert len(tree._points) < stored + 40
+    for idx in (lin, tree):
+        with pytest.raises(DimensionMismatchError):
+            idx.query_nearest_set((0.0,))
+        idx.remove(17)
+    assert tree.query_nearest_set((0.5,)) == lin.query_nearest_set((0.5,)) == list(range(17))
+
+
+def test_unsplittable_leaf_is_not_resorted_at_every_insert():
+    # Under the discrete metric distinct points are all at distance 1, so
+    # no split can separate them.  A failed split doubles the leaf's cap,
+    # so the splits measure O(n) points in all, not the whole leaf per insert.
+    calls = 0
+    base = METRICS["discrete"].distance
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return base(a, b)
+
+    idx = VpTreeIndex(MetricDescriptor("counted", counting))
+    for i in range(2000):
+        idx.insert((float(i),))
+    assert calls <= 10 * 2000
+    assert idx.query_nearest_set((1999.0,)) == [1999]
+
+
+def test_churn_rebuilds_rarely(monkeypatch):
+    # 10,000 insert/remove pairs at a steady 1000 live points: a rebuild
+    # waits until the removed ids still holding a slot exceed twice the
+    # live count, so it comes about every 2000 removals.
+    rebuilds = 0
+    rebuild = VpTreeIndex._rebuild
+
+    def counting(self):
+        nonlocal rebuilds
+        rebuilds += 1
+        rebuild(self)
+
+    monkeypatch.setattr(VpTreeIndex, "_rebuild", counting)
+    rng = RandomStream(31, 0)
+    idx = _filled(VpTreeIndex, EUCLID, [_random_point(rng, 2) for _ in range(1000)])
+    for k in range(20_000):
+        if k % 2:
+            idx.remove(rng.next_below(len(idx)))
+        else:
+            idx.insert(_random_point(rng, 2))
+    assert len(idx) == 1000
+    assert rebuilds <= 6
+
+
 def test_other_metrics_errors_pass_through():
     # Only euclidean_distance itself is resolved to math.dist; a metric
     # that calls math.dist on its own keeps its ValueError.
@@ -300,11 +366,14 @@ def test_other_metrics_errors_pass_through():
 
 # Call count and SHA-256 of every distance(stored, query) call the tree
 # made in the session below: a change to the descent must make the same
-# calls.  Taken once splits stopped measuring removed ids, which changed
-# the tree's shape (before: 23228 and 24929 calls).
+# calls.  Taken once removals left their leaves at once and rebuilds waited
+# for twice the live count in removed points, which changed the tree's
+# shape; the second shrink grew from 100 to 120 removals with it, so that
+# it still rebuilds (before: 23088 and 24952 calls; before splits stopped
+# measuring removed ids: 23228 and 24929).
 _SESSION_CALLS = {
-    0.0: (23088, "d529d37ec3a9bf77d468537f18e563a65d2295f1a83a3cbd784f10e08886365d"),
-    0.25: (24952, "93e7d9dac91443e4a56cb1c5e4205f755f5568d5a515693ef08de4c9cc11b779"),
+    0.0: (21156, "5825d4e0eca48a9df7a68bb8ceb1cd010401766049cf5a4d67fb6563290aae86"),
+    0.25: (22962, "52207e7b906025547b6a0df57974097b1ca12d0085485579aa8397bcae122e19"),
 }
 
 
@@ -325,9 +394,10 @@ def test_tree_distance_calls_are_pinned(tie_tol):
                      for _ in range(2))
 
     # Grow, shrink and regrow: each shrink leaves enough tombstones to
-    # rebuild the tree.
+    # rebuild the tree (more than twice the live count; the second shrink
+    # takes 120 from 170, one rebuild).
     for op, count in [("insert", 300), ("remove", 280), ("insert", 150),
-                      ("remove", 100), ("insert", 60)]:
+                      ("remove", 120), ("insert", 60)]:
         for _ in range(count):
             if op == "insert":
                 idx.insert(point())
