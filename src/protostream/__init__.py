@@ -23,14 +23,7 @@ from .experiments import (
     theorem_experiment,
 )
 from .index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
-from .learner import (
-    Action,
-    LearnerConfig,
-    StepOutcome,
-    predict,
-    run_stream,
-    step,
-)
+from .learner import Action, LearnerConfig, StepOutcome, predict, step
 from .metrics import METRICS, TARGETS, MetricDescriptor, TargetFunction
 from .rng import RandomStream, learner_stream_index, points_stream_index, sample_uniform
 from .stats import RunReport, SeriesPoint, WindowStats
@@ -71,7 +64,6 @@ __all__ = [
     "linear_tie_set",
     "points_stream_index",
     "predict",
-    "run_stream",
     "sample_uniform",
     "step",
     "theorem_experiment",

@@ -22,12 +22,18 @@ row's step::
     n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta
 
 The writer has one path.  ``action`` and ``hit`` come from two tables keyed
-by the step's size delta.  While the series window fills, the window
-columns format ``WindowStats.hit_rate`` and ``mean_size_delta``.  Once it
-holds ``w`` steps, they are ``hits / w`` and ``delta_sum / w``, and their
+by the step's size delta.  While the series window fills (step ``k < w``),
+the window columns come from the run's own counts over every step so far,
+``hits / k`` and ``model_size / k``.  A ``WindowStats(w)``, built and fed
+at every step of a traced run only, holds the last ``w`` steps; from step
+``w`` on the columns are its ``hits / w`` and ``delta_sum / w``, and their
 text comes from one memo keyed by the integer count, filled on first use:
 the same division and format, so the same bytes, from at most ``2w + 1``
 entries.
+
+A series point needs no window: at every multiple of ``w`` it divides the
+hits and the size change since the previous multiple by ``w``, the same
+integers and the same division as a window over those ``w`` steps.
 """
 
 from __future__ import annotations
@@ -158,61 +164,67 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
 
     ``run_index`` selects the learner substream ``learner_stream_index(run_index)``
     (the generator carries its own).  Stream points are drawn as the run
-    steps, so memory follows the live model and the series window, not
-    ``steps``.  With ``trace_path`` the trace CSV is written there as the
-    run steps; the file is opened only once ``generate_stream`` has
-    returned, so a stream that cannot be generated leaves no file behind.
+    steps, so memory follows the live model, not ``steps``; only a traced
+    run holds a window of ``series_window`` steps.  With ``trace_path`` the
+    trace CSV is written there as the run steps; the file is opened only
+    once ``generate_stream`` has returned, so a stream that cannot be
+    generated leaves no file behind.
     """
     if index_kind not in INDEXES:
         raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
+    if tail_window < 1 or series_window < 1:
+        raise ConfigError("window size must be at least 1, got "
+                          f"tail_window={tail_window}, series_window={series_window}")
     output_metric = METRICS[target.output_metric]
     points = generate_stream(generator, steps)
     rng = RandomStream(config.seed, learner_stream_index(run_index))
     # The index holds the model; it starts empty and fills through the steps.
     index = INDEXES[index_kind](input_metric)
 
-    series_stats = WindowStats(series_window)
-    if tail_window < 1:
-        raise ConfigError(f"window size must be at least 1, got {tail_window}")
-    # The tail is the steps after step cut: its counts are the final ones less those at cut.
+    # The tail is the steps after step cut: its counts are the final ones
+    # less those at cut.  A series point's are those at the previous
+    # multiple of series_window.
     cut = max(steps - tail_window, 0)
-    hits = hits_at_cut = size_at_cut = 0
+    hits = hits_at_cut = size_at_cut = hits_then = size_then = 0
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
-    # A full window divides its hit count (0..w) and its delta sum (-w..w)
-    # by w, so both columns share one text memo of at most 2w + 1 entries.
-    window_text = _RatioText(series_window)
-    # The action and hit columns by size delta: Insert (+1) is the one
-    # miss, Remove (-1) and Keep (0) are hits.
-    action_text = {+1: Action.INSERT.value, -1: Action.REMOVE.value, 0: Action.KEEP.value}
-    hit_text = {+1: "0", -1: "1", 0: "1"}
     # Closing flushes every completed row, even when a step raises.
     trace = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else nullcontext()
     with trace as out:
         if out:
             out.write(TRACE_HEADER + "\n")
+            window = WindowStats(series_window)
+            # A full window divides its hit count (0..w) and its delta sum
+            # (-w..w) by w, so both columns share one text memo of at most
+            # 2w + 1 entries.
+            window_text = _RatioText(series_window)
+            # The action and hit columns by size delta: Insert (+1) is the
+            # one miss, Remove (-1) and Keep (0) are hits.
+            action_text = {+1: Action.INSERT.value, -1: Action.REMOVE.value, 0: Action.KEEP.value}
+            hit_text = {+1: "0", -1: "1", 0: "1"}
         for k, x in enumerate(points, 1):
             outcome = step(index, x, evaluate(x), output_metric, config, rng)
-            series_stats.update(outcome)
             hits += outcome.hit
             if k == cut:
                 hits_at_cut, size_at_cut = hits, outcome.model_size_after
             if out:
+                window.update(outcome)
                 # format_float inlined: 17 significant digits.
                 if k < series_window:
-                    hit_rate = f"{series_stats.hit_rate:.17g}"
-                    mean_delta = f"{series_stats.mean_size_delta:.17g}"
+                    hit_rate = f"{hits / k:.17g}"
+                    mean_delta = f"{outcome.model_size_after / k:.17g}"
                 else:
-                    hit_rate = window_text[series_stats.hits]
-                    mean_delta = window_text[series_stats.delta_sum]
+                    hit_rate = window_text[window.hits]
+                    mean_delta = window_text[window.delta_sum]
                 delta = outcome.size_delta
                 out.write(f"{k},{action_text[delta]},{outcome.model_size_after},"
                           f"{outcome.output_distance:.17g},{hit_text[delta]},"
                           f"{hit_rate},{mean_delta}\n")
             if k % series_window == 0:
-                series.append(SeriesPoint(k, outcome.model_size_after,
-                                          series_stats.hit_rate,
-                                          series_stats.mean_size_delta))
+                size = outcome.model_size_after
+                series.append(SeriesPoint(k, size, (hits - hits_then) / series_window,
+                                          (size - size_then) / series_window))
+                hits_then, size_then = hits, size
     n = steps - cut  # a WindowStats(tail_window) divides the same integers
     tail_mean_delta = (len(index) - size_at_cut) / n
     return RunReport(

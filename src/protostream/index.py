@@ -18,12 +18,12 @@ one ascending list; a point's position is the rank of its id there.
 
 A removal takes the id out of its leaf at once and releases its point and
 output, so leaves hold only live ids and a query never measures a removed
-leaf point.  A removed vantage point stays in its node, where it still
-partitions the points below.  Every removed id keeps its slot in the per-id
-lists until the next rebuild, which renumbers the live ids to ``0..n-1`` in
-the same order and drops the slots; it runs once the removed ids outnumber
-twice the live count, so the tree's storage stays within three times the
-live count, not the number of points ever inserted.
+leaf point.  A removed vantage point stays in its node, which is marked no
+longer live, and still partitions the points below.  Every removed id keeps
+its slot in the per-id lists until the next rebuild, which renumbers the
+live ids to ``0..n-1`` in the same order and drops the slots; it runs once
+the removed ids outnumber twice the live count, so the tree's storage stays
+within three times the live count, not the number of points ever inserted.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
@@ -137,16 +137,18 @@ class LinearScanIndex:
 class _Node:
     """Tree node; ``bucket`` is a list of point ids at leaves, else None.
 
-    A leaf splits once its bucket outgrows ``cap``.  A split that cannot
+    An internal node is ``live`` until its vantage point is removed.  A
+    leaf splits once its bucket outgrows ``cap``.  A split that cannot
     separate the bucket (every point at one distance from the vantage)
     doubles the leaf's ``cap``, so the next attempt waits until the bucket
     has doubled instead of coming at every insert.
     """
 
-    __slots__ = ("vantage", "mu", "inner", "outer", "bucket", "cap")
+    __slots__ = ("vantage", "live", "mu", "inner", "outer", "bucket", "cap")
 
     def __init__(self, bucket):
         self.vantage = -1
+        self.live = True
         self.mu = 0.0
         self.inner = None
         self.outer = None
@@ -159,8 +161,9 @@ class VpTreeIndex:
 
     Inserts descend by the stored split radii, so the partition invariant
     (inner holds exactly the points with d(vantage, p) <= mu) survives
-    mutation.  Removal takes the id out of the leaf ``_leaf`` names for it;
-    a removed vantage point (``_leaf`` None) stays as a tombstone.  The tree
+    mutation.  ``_node`` names each id's node: the leaf that holds it, or
+    the internal node whose vantage point it is.  Removal takes the id out
+    of its leaf, or clears its internal node's ``live``.  The tree
     is rebuilt from live points whenever the removed ids still holding a
     slot, ``len(_points) - len(_ids)``, exceed twice the live count, so
     ``len(_points)`` never exceeds three times the live count.
@@ -176,8 +179,7 @@ class VpTreeIndex:
         self._distance, self._mismatch = _resolve(metric)
         self._points: list = []       # by internal id, compacted at rebuild
         self._outputs: list = []      # by internal id, compacted at rebuild
-        self._alive: list[bool] = []  # by internal id
-        self._leaf: list = []         # by internal id: its leaf, None for a vantage
+        self._node: list = []         # by internal id: its leaf or vantage node
         self._ids: list[int] = []     # live ids, ascending
         self._root: _Node | None = None
 
@@ -203,11 +205,10 @@ class VpTreeIndex:
             pid = len(pts)
             pts.append(point)
             self._outputs.append(output)
-            self._alive.append(True)
             self._ids.append(pid)
             if node is None:
                 node = self._root = _Node([])
-            self._leaf.append(node)
+            self._node.append(node)
             bucket = node.bucket
             bucket.append(pid)
             if len(bucket) > node.cap:
@@ -220,9 +221,8 @@ class VpTreeIndex:
                     bucket.pop()
                     pts.pop()
                     self._outputs.pop()
-                    self._alive.pop()
                     self._ids.pop()
-                    self._leaf.pop()
+                    self._node.pop()
                     raise
         except self._mismatch as exc:
             raise _dimension_error(exc) from None
@@ -234,11 +234,12 @@ class VpTreeIndex:
         _check_position(position, len(self._ids))
         ids = self._ids
         pid = ids.pop(position)
-        self._alive[pid] = False
-        leaf = self._leaf[pid]
-        if leaf is not None:
-            # Only a vantage point is ever measured again.
-            leaf.bucket.remove(pid)
+        node = self._node[pid]
+        if node.bucket is None:
+            # A vantage point keeps its point: descents still measure it.
+            node.live = False
+        else:
+            node.bucket.remove(pid)
             self._points[pid] = self._outputs[pid] = None
         if len(self._points) - len(ids) > 2 * len(ids):
             self._rebuild()
@@ -250,14 +251,13 @@ class VpTreeIndex:
         self._points = [pts[i] for i in ids]
         self._outputs = [outputs[i] for i in ids]
         n = len(ids)
-        self._alive = [True] * n
         self._ids = list(range(n))
         if not n:
             self._root = None
-            self._leaf = []
+            self._node = []
             return
         root = _Node(list(range(n)))
-        self._leaf = [root] * n
+        self._node = [root] * n
         old, self._root = self._root, root
         if old.bucket is not None:
             # A root leaf already holds every live id within its cap, and
@@ -270,19 +270,19 @@ class VpTreeIndex:
         # Iteratively split oversized leaves; a leaf whose points all sit
         # at one distance from the vantage cannot make progress, is kept
         # oversized and doubles its cap.  Every bucket holds live ids only,
-        # and each id that ends in a leaf or as a vantage is recorded in
-        # ``_leaf``.  No node changes before the first distance pass, so a
-        # split that raises leaves the tree as it was.
+        # and ``_node`` names the leaf or internal node where each id ends.
+        # No node changes before the first distance pass, so a split that
+        # raises leaves the tree as it was.
         dist = self._distance
         pts = self._points
-        leaf_of = self._leaf
+        node_of = self._node
         stack = [node]
         while stack:
             leaf = stack.pop()
             bucket = leaf.bucket
             if len(bucket) <= leaf.cap:
                 for i in bucket:
-                    leaf_of[i] = leaf
+                    node_of[i] = leaf
                 continue
             vantage = bucket[len(bucket) // 2]
             rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]
@@ -294,9 +294,9 @@ class VpTreeIndex:
             if not outer:
                 leaf.cap = 2 * len(bucket)
                 for i in bucket:
-                    leaf_of[i] = leaf
+                    node_of[i] = leaf
                 continue
-            leaf_of[vantage] = None
+            node_of[vantage] = leaf
             leaf.vantage = vantage
             leaf.mu = mu
             leaf.inner = _Node(inner)
@@ -316,7 +316,6 @@ class VpTreeIndex:
             raise EmptyModelError("nearest-set query against an empty index")
         dist = self._distance
         pts = self._points
-        alive = self._alive
         widen = 1.0 + tie_tolerance
         best = bound = math.inf
         found = []
@@ -331,7 +330,7 @@ class VpTreeIndex:
                 if bucket is None:
                     vantage = node.vantage
                     dv = dist(pts[vantage], x)
-                    if alive[vantage] and dv <= bound:
+                    if node.live and dv <= bound:
                         found.append((vantage, dv))
                         if dv < best:
                             best = dv

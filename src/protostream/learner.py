@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .errors import ConfigError, EmptyStreamError
-from .index import LinearScanIndex
+from .errors import ConfigError
 from .metrics import MetricDescriptor
-from .rng import RandomStream, learner_stream_index, sample_uniform
+from .rng import RandomStream, sample_uniform
 
 
 class Action(Enum):
@@ -111,21 +110,3 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
         index.remove(sampled)
         return StepOutcome(sampled, d, True, Action.REMOVE, n - 1, -1)
     return StepOutcome(sampled, d, True, Action.KEEP, n, 0)
-
-
-def run_stream(pairs, config: LearnerConfig, input_metric: MetricDescriptor,
-               output_metric: MetricDescriptor, rng: Optional[RandomStream] = None,
-               index=None) -> list[StepOutcome]:
-    """Materialized trace of a whole stream; the stream must be nonempty.
-
-    ``index`` holds the exemplars and is updated in place; by default a
-    fresh ``LinearScanIndex`` over ``input_metric``.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise EmptyStreamError("run_stream needs at least one (point, value) pair")
-    if rng is None:
-        rng = RandomStream(config.seed, learner_stream_index(0))
-    if index is None:
-        index = LinearScanIndex(input_metric)
-    return [step(index, x, y, output_metric, config, rng) for x, y in pairs]

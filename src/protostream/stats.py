@@ -1,4 +1,4 @@
-"""Sliding-window trace estimators and the per-run report."""
+"""The sliding window behind the trace columns, and the per-run report."""
 
 from __future__ import annotations
 
@@ -12,6 +12,9 @@ from .learner import StepOutcome
 class WindowStats:
     """Hit-rate and mean size-delta over the last ``window_size`` steps.
 
+    A traced run feeds one at every step for the trace's window columns.
+    A run's tail estimators and series points come from counts instead; a
+    window replayed over the trace rows is the tests' reference for them.
     Counters update in O(1) per step.  Over any full or partial window
     the identity mean_size_delta == miss_fraction - remove_fraction holds
     exactly, because every miss inserts (+1) and the only -1 is a removal.

@@ -3,17 +3,29 @@
 ``perfbench/tracer.py`` replaces package functions by name.  If one of those
 names moves, a traced benchmark run fails or silently counts nothing; these
 tests run small traced commands in a fresh interpreter and check that every
-step, stream point and draw went through the patched functions.
+step, stream point and draw went through the patched functions.  The two
+theorem workloads also run here for seed 0, so a change to their output
+bytes fails the tests and not only a benchmark run.
 """
 
+import dataclasses
+import hashlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from protostream.cli import parse_config, read_trace
+from protostream.experiments import theorem_experiment
+from protostream.learner import LearnerConfig
+from protostream.metrics import METRICS, TARGETS
+from protostream.rng import points_stream_index
+from protostream.streams import IidUniform
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -95,13 +107,19 @@ def test_traced_verify_counts_every_step():
     assert int(proc.stdout.split()[-1]) == 4 * 300 + 200 + 3 * 2000 == 7400
 
 
-def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
-    # Each CLI workload's argv, built as perfbench/child.py builds it: a key
-    # the benchmark passes cannot be renamed or dropped without failing here.
+def _load_run(monkeypatch):
+    # perfbench/run.py, imported by path: it is a script, not a package.
     spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
     run = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
+    # Each CLI workload's argv, built as perfbench/child.py builds it: a key
+    # the benchmark passes cannot be renamed or dropped without failing here.
+    run = _load_run(monkeypatch)
     kinds = set()
     for name, workload in run.WORKLOADS.items():
         if workload["kind"] == "run":
@@ -116,3 +134,23 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
         assert parse_config(argv).subcommand == argv[0], name
         kinds.add(workload["kind"])
     assert kinds == {"run", "verify"}
+
+
+@pytest.mark.parametrize("name", ["big_model", "churn"])
+def test_theorem_workload_bytes_match_the_reference(name, monkeypatch):
+    # Seed 0 of a theorem workload, run in this process as perfbench/child.py
+    # runs it, must give the RunReport bytes recorded in reference.json.
+    run = _load_run(monkeypatch)
+    spec = run.WORKLOADS[name]
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+        reference = json.load(fh)[name]
+    if reference["spec"] != spec:
+        pytest.skip(f"{name} changed since its reference was recorded")
+    target = TARGETS[spec["target"]]
+    config = LearnerConfig(epsilon=spec["epsilon"], q=spec["q"], seed=0)
+    generator = IidUniform(target.domain, 0, points_stream_index(0))
+    report = theorem_experiment(target, METRICS[spec["metric"]], config, generator,
+                                spec["steps"], tail_window=spec["tail_window"],
+                                index_kind=spec["index"])
+    text = json.dumps(dataclasses.asdict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == reference["sha256"]["0"]

@@ -30,7 +30,7 @@ from protostream.index import INDEX_KINDS
 from protostream.learner import Action, LearnerConfig, StepOutcome
 from protostream.metrics import METRICS, TARGETS, TargetFunction
 from protostream.rng import points_stream_index
-from protostream.stats import WindowStats
+from protostream.stats import SeriesPoint, WindowStats
 from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
 
 EUCLID = METRICS["euclidean"]
@@ -145,12 +145,45 @@ def test_tail_estimators_equal_a_window_over_the_trace(tail_window, tmp_path):
     assert report.stabilized == (abs(tail.mean_size_delta) <= report.stabilization_delta)
 
 
-def test_theorem_rejects_empty_tail_window():
+@pytest.mark.parametrize("series_window", [1, 7, 50, 301])
+def test_series_points_equal_a_window_over_the_trace(series_window, tmp_path):
+    # A series point is taken from counts at every multiple of the window:
+    # it must equal a WindowStats replay of the trace rows up to its step,
+    # and a traced run must report what an untraced one does.
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.05, q=0.75, seed=5)
+    gen = IidUniform(target.domain, 5, points_stream_index(0))
+    path = str(tmp_path / "t.csv")
+    traced = theorem_experiment(target, EUCLID, config, gen, 300, tail_window=100,
+                                series_window=series_window, trace_path=path)
+    untraced = theorem_experiment(target, EUCLID, config, gen, 300, tail_window=100,
+                                  series_window=series_window)
+    assert traced == untraced
+    window = WindowStats(series_window)
+    expected = []
+    for row in read_trace(path):
+        window.update(StepOutcome(None, row.output_distance, row.hit, Action(row.action),
+                                  row.model_size, _DELTA[row.action]))
+        if row.n % series_window == 0:
+            expected.append(SeriesPoint(row.n, row.model_size, window.hit_rate,
+                                        window.mean_size_delta))
+    assert traced.series == expected
+    assert len(expected) == 300 // series_window
+
+
+def test_theorem_rejects_empty_tail_window(tmp_path):
+    # An untraced run keeps no series window, so the check cannot be left
+    # to WindowStats; traced or not, a bad window writes no trace file.
     target = TARGETS["sine_1d"]
     config = LearnerConfig(epsilon=0.05, q=0.9, seed=0)
     gen = IidUniform(target.domain, 0, points_stream_index(0))
-    with pytest.raises(ConfigError):
-        theorem_experiment(target, EUCLID, config, gen, 100, tail_window=0)
+    path = tmp_path / "t.csv"
+    for windows in ({"tail_window": 0}, {"series_window": 0}):
+        for trace_path in (None, str(path)):
+            with pytest.raises(ConfigError):
+                theorem_experiment(target, EUCLID, config, gen, 100, **windows,
+                                   trace_path=trace_path)
+            assert not path.exists()
 
 
 def _peak_traced_bytes(steps, epsilon, q, tail_window=1000):

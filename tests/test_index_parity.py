@@ -191,9 +191,10 @@ def test_tombstones_never_decide_an_insert(ops):
 
 
 def _assert_leaves_hold_the_live_ids(tree):
-    # Each live id sits in exactly one bucket, the one _leaf names, or is a
-    # vantage point with _leaf None; buckets hold no removed id, and a
-    # removed id that is no vantage point holds no point.
+    # Each live id sits in exactly one bucket, the one _node names, or is
+    # the vantage point of the internal node _node names; that node is live
+    # exactly while its vantage point is.  Buckets hold no removed id, and
+    # a removed id that is no vantage point holds no point.
     live = set(tree._ids)
     in_bucket = Counter()
     vantages = set()
@@ -202,18 +203,20 @@ def _assert_leaves_hold_the_live_ids(tree):
         node = stack.pop()
         if node.bucket is None:
             vantages.add(node.vantage)
+            assert tree._node[node.vantage] is node
+            assert node.live == (node.vantage in live)
             stack += [node.inner, node.outer]
             continue
         for pid in node.bucket:
             assert pid in live
-            assert tree._leaf[pid] is node
+            assert tree._node[pid] is node
             in_bucket[pid] += 1
     assert all(count == 1 for count in in_bucket.values())
     for pid in live:
         if pid in in_bucket:
             assert pid not in vantages
         else:
-            assert pid in vantages and tree._leaf[pid] is None
+            assert pid in vantages
     for pid, point in enumerate(tree._points):
         if pid not in live and pid not in vantages:
             assert point is None

@@ -4,17 +4,11 @@ import math
 
 import pytest
 
-from protostream.errors import ConfigError, EmptyModelError, EmptyStreamError
+from protostream.errors import ConfigError, EmptyModelError
 from protostream.index import LinearScanIndex, VpTreeIndex
-from protostream.learner import (
-    Action,
-    LearnerConfig,
-    predict,
-    run_stream,
-    step,
-)
+from protostream.learner import Action, LearnerConfig, predict, step
 from protostream.metrics import METRICS
-from protostream.rng import RandomStream
+from protostream.rng import RandomStream, learner_stream_index
 
 EUCLID = METRICS["euclidean"]
 ABSDIFF = METRICS["absolute_difference"]
@@ -25,6 +19,14 @@ def _model(*pairs):
     for x, y in pairs:
         index.insert(x, y)
     return index
+
+
+def _run(pairs, config, index=None):
+    # Steps an index, empty unless given, through the pairs as a run does:
+    # one learner substream, one step per pair.
+    index = LinearScanIndex(EUCLID) if index is None else index
+    rng = RandomStream(config.seed, learner_stream_index(0))
+    return [step(index, x, y, ABSDIFF, config, rng) for x, y in pairs]
 
 
 def test_config_properties_are_complementary():
@@ -168,7 +170,7 @@ def test_run_stream_degenerate_regime_pinned_trace():
     # q = 0.5 turns every hit into a removal
     config = LearnerConfig(epsilon=10.0, q=0.5, seed=7)
     pairs = [((float(i),), 0.0) for i in range(5)]
-    outcomes = run_stream(pairs, config, EUCLID, ABSDIFF)
+    outcomes = _run(pairs, config)
     assert [o.action for o in outcomes] == [
         Action.INSERT, Action.REMOVE, Action.INSERT, Action.REMOVE, Action.INSERT,
     ]
@@ -181,24 +183,18 @@ def test_run_stream_degenerate_regime_pinned_trace():
 
 def test_run_stream_single_element():
     config = LearnerConfig(epsilon=1.0, q=0.75, seed=0)
-    outcomes = run_stream([((0.5,), 1.0)], config, EUCLID, ABSDIFF)
+    outcomes = _run([((0.5,), 1.0)], config)
     assert len(outcomes) == 1
     assert outcomes[0].action is Action.INSERT
     assert outcomes[0].model_size_after == 1
-
-
-def test_run_stream_empty_rejected():
-    config = LearnerConfig(epsilon=1.0, q=0.75)
-    with pytest.raises(EmptyStreamError):
-        run_stream([], config, EUCLID, ABSDIFF)
 
 
 def test_run_stream_same_seed_reproduces():
     config = LearnerConfig(epsilon=0.3, q=0.75, seed=11)
     rng = RandomStream(99, 1)
     pairs = [((rng.next_unit() * 4.0,), rng.next_unit()) for _ in range(400)]
-    a = run_stream(pairs, config, EUCLID, ABSDIFF)
-    b = run_stream(pairs, config, EUCLID, ABSDIFF)
+    a = _run(pairs, config)
+    b = _run(pairs, config)
     assert a == b
 
 
@@ -206,8 +202,8 @@ def test_run_stream_index_backend_parity():
     config = LearnerConfig(epsilon=0.3, q=0.75, seed=21)
     rng = RandomStream(98, 1)
     pairs = [((rng.next_unit() * 4.0,), rng.next_unit()) for _ in range(400)]
-    plain = run_stream(pairs, config, EUCLID, ABSDIFF)
-    indexed = run_stream(pairs, config, EUCLID, ABSDIFF, index=VpTreeIndex(EUCLID))
+    plain = _run(pairs, config)
+    indexed = _run(pairs, config, VpTreeIndex(EUCLID))
     assert [(o.action, o.sampled_index, o.model_size_after, o.output_distance)
             for o in plain] == \
            [(o.action, o.sampled_index, o.model_size_after, o.output_distance)
@@ -218,7 +214,7 @@ def test_size_delta_identity_over_run():
     config = LearnerConfig(epsilon=0.2, q=0.75, seed=31)
     rng = RandomStream(97, 1)
     pairs = [((rng.next_unit(),), rng.next_unit()) for _ in range(1000)]
-    outcomes = run_stream(pairs, config, EUCLID, ABSDIFF)
+    outcomes = _run(pairs, config)
     miss_fraction = sum(1 for o in outcomes if not o.hit) / len(outcomes)
     remove_fraction = sum(1 for o in outcomes if o.action is Action.REMOVE) / len(outcomes)
     mean_delta = sum(o.size_delta for o in outcomes) / len(outcomes)
