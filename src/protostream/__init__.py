@@ -12,7 +12,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyCandidatesError,
     EmptyModelError,
-    EmptyStreamError,
     PositionOutOfRangeError,
     ProtostreamError,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "DimensionMismatchError",
     "EmptyCandidatesError",
     "EmptyModelError",
-    "EmptyStreamError",
     "GridSweep",
     "INDEXES",
     "IidUniform",

@@ -43,7 +43,7 @@ from .index import INDEX_KINDS
 from .learner import LearnerConfig
 from .metrics import METRICS, TARGETS
 from .rng import points_stream_index
-from .streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
+from .streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk, check_length
 from .streams import generate_stream  # noqa: F401  (unused here; the benchmark tracer patches it)
 
 SUMMARY_HEADER = "q,epsilon,seed,final_size,tail_hit_rate,tail_mean_delta,stabilized"
@@ -233,9 +233,9 @@ def _plan_runs(v: dict) -> list:
             generator = IidUniform(bounds, seed, stream_index)
         elif v["stream"] == "grid":
             generator = GridSweep(v["grid_resolution"], bounds, seed, stream_index)
-            generator.check_length(v["steps"])
         else:
             generator = RandomWalk(v["walk_scale"], bounds, seed, stream_index)
+        check_length(generator, v["steps"])
         runs.append((config, generator))
     return runs
 

@@ -13,10 +13,6 @@ class EmptyCandidatesError(ProtostreamError):
     """Raised when asked to sample uniformly from an empty candidate list."""
 
 
-class EmptyStreamError(ProtostreamError):
-    """Raised when a run or generation request covers zero steps."""
-
-
 class DimensionMismatchError(ProtostreamError):
     """Raised when two points of different dimension reach a coordinate metric."""
 

@@ -94,7 +94,7 @@ def linear_tie_set(points, x, distance, tie_tolerance: float) -> list[int]:
             dmin = d
     if not ds:
         raise EmptyModelError("nearest-set query against an empty point sequence")
-    threshold = dmin if tie_tolerance == 0.0 else dmin * (1.0 + tie_tolerance)
+    threshold = dmin * (1.0 + tie_tolerance)
     return [i for i, d in enumerate(ds) if d <= threshold]
 
 

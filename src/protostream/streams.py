@@ -6,11 +6,12 @@ construction (it emits a seeded permutation of a finite lattice, refuses
 requests longer than the lattice and lattices of more than
 ``MAX_GRID_POINTS`` points).
 
-``generate_stream`` returns a sized iterable of points.  For IidUniform
-and RandomWalk it is a ``StreamView``: each point is drawn only when an
-iteration reaches it, so a run holds one point at a time, and every
-iteration replays the same points from ``(seed, stream)``.  GridSweep
-returns a list, because its whole lattice is shuffled up front anyway.
+Every generator has a ``size``, the most points it can emit (``math.inf``
+for IidUniform and RandomWalk, the lattice size for GridSweep), and a
+``points(length)`` iterator.  ``generate_stream`` checks the length
+against the size once (``check_length``) and returns a ``StreamView``:
+each point is drawn only when an iteration reaches it, and every
+iteration replays the same points from ``(seed, stream)``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ConfigError, EmptyStreamError
+from .errors import ConfigError
 from .rng import RandomStream
 
 Bounds = tuple[tuple[float, float], ...]
@@ -50,12 +51,10 @@ class IidUniform:
     bounds: Bounds
     seed: int
     stream: int = 1
+    size = math.inf
 
     def __post_init__(self) -> None:
         _check_source(self)
-
-    def generate(self, length: int) -> "StreamView":
-        return StreamView(self, length)
 
     def points(self, length: int) -> Iterator[tuple]:
         unit = RandomStream(self.seed, self.stream).next_unit
@@ -104,15 +103,7 @@ class GridSweep:
         """The number of lattice points."""
         return self.resolution ** len(self.bounds)
 
-    def check_length(self, length: int) -> None:
-        """Refuse, with ConfigError, a request longer than the lattice."""
-        if length > self.size:
-            raise ConfigError(
-                f"grid sweep holds {self.size} distinct points, cannot emit {length}"
-            )
-
-    def generate(self, length: int) -> list[tuple]:
-        self.check_length(length)
+    def points(self, length: int) -> Iterator[tuple]:
         axes = []
         for lo, hi in self.bounds:
             if self.resolution == 1:
@@ -126,7 +117,8 @@ class GridSweep:
         for i in range(len(lattice) - 1, 0, -1):
             j = rng.next_below(i + 1)
             lattice[i], lattice[j] = lattice[j], lattice[i]
-        return lattice[:length]
+        del lattice[length:]
+        yield from lattice
 
 
 def _reflect(v: float, lo: float, hi: float) -> float:
@@ -144,6 +136,7 @@ class RandomWalk:
     bounds: Bounds
     seed: int
     stream: int = 1
+    size = math.inf
 
     def __post_init__(self) -> None:
         _check_source(self)
@@ -179,7 +172,7 @@ class StreamView:
     afresh and so replays the same points.  ``list()`` materialises them.
     """
 
-    generator: IidUniform | RandomWalk
+    generator: IidUniform | GridSweep | RandomWalk
     length: int
 
     def __len__(self) -> int:
@@ -192,12 +185,17 @@ class StreamView:
 STREAM_KINDS = ("iid", "grid", "walk")
 
 
-def generate_stream(generator, length: int) -> StreamView | list[tuple]:
-    """``length`` points, at least 1, as a sized, re-iterable collection.
-
-    A lazy ``StreamView`` for IidUniform and RandomWalk, a list for
-    GridSweep; a grid that cannot emit ``length`` points raises here.
-    """
+def check_length(generator, length: int) -> None:
+    """Refuse, with ConfigError, a length below 1 or above ``generator.size``."""
     if length < 1:
-        raise EmptyStreamError(f"stream length must be >= 1, got {length}")
-    return generator.generate(length)
+        raise ConfigError(f"stream length must be >= 1, got {length}")
+    if length > generator.size:
+        # Only a GridSweep has a finite size.
+        raise ConfigError(f"grid sweep holds {generator.size} distinct points, "
+                          f"cannot emit {length}")
+
+
+def generate_stream(generator, length: int) -> StreamView:
+    """The first ``length`` points of ``generator``, after ``check_length``."""
+    check_length(generator, length)
+    return StreamView(generator, length)

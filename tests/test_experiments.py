@@ -186,6 +186,18 @@ def test_theorem_rejects_empty_tail_window(tmp_path):
             assert not path.exists()
 
 
+def test_theorem_rejects_zero_steps_without_a_trace(tmp_path):
+    # The stream's length check is the experiment's: a ConfigError, like
+    # growth_identity_experiment's, raised before the trace file is opened.
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.05, q=0.9, seed=0)
+    gen = IidUniform(target.domain, 0, points_stream_index(0))
+    path = tmp_path / "t.csv"
+    with pytest.raises(ConfigError):
+        theorem_experiment(target, EUCLID, config, gen, 0, trace_path=str(path))
+    assert not path.exists()
+
+
 def _peak_traced_bytes(steps, epsilon, q, tail_window=1000):
     target = TARGETS["sine_1d"]
     config = LearnerConfig(epsilon=epsilon, q=q, seed=0)

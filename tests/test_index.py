@@ -44,7 +44,7 @@ def test_linear_tie_set_empty_rejected():
 
 
 class _NoPoints:
-    def generate(self, length):
+    def points(self, length):
         raise AssertionError("no stream point may be generated")
 
 

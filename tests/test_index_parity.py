@@ -114,7 +114,8 @@ _LATTICE = 45
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), q=st.floats(0.5, 0.95),
        epsilon=st.floats(0.1, 1.0), tie_tol=st.sampled_from([0.0, 0.05, 0.3]),
-       stream=st.sampled_from(STREAM_KINDS), metric=st.sampled_from(["euclidean", "chebyshev"]),
+       stream=st.sampled_from(STREAM_KINDS),
+       metric=st.sampled_from(["euclidean", "chebyshev", "hamming", "discrete"]),
        dim=st.integers(1, 2), steps=st.integers(50, 2000))
 def test_whole_run_parity_property(seed, q, epsilon, tie_tol, stream, metric, dim, steps):
     box = ((0.0, _LATTICE - 1.0),) * dim

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from protostream.errors import ConfigError, EmptyStreamError
+from protostream.errors import ConfigError
 from protostream.streams import (
     MAX_GRID_POINTS, GridSweep, IidUniform, RandomWalk, generate_stream,
 )
@@ -114,7 +114,7 @@ def test_grid_sweep_refuses_large_lattices_before_allocating():
     assert _peak_bytes(overlong) < 100_000
 
 
-# SHA-256 of repr(points), taken before the lattice size limit existed:
+# SHA-256 of repr(list of points), taken before the lattice size limit existed:
 # the backward Fisher-Yates shuffle's draws are part of the contract.
 GRID_DIGESTS = [
     (GridSweep(256, UNIT, seed=3, stream=1), 200,
@@ -126,7 +126,7 @@ GRID_DIGESTS = [
 
 @pytest.mark.parametrize("gen,length,digest", GRID_DIGESTS, ids=["1d", "2d"])
 def test_grid_sweep_draw_order_is_pinned(gen, length, digest):
-    points = generate_stream(gen, length)
+    points = list(generate_stream(gen, length))
     assert hashlib.sha256(repr(points).encode()).hexdigest() == digest
 
 
@@ -147,7 +147,7 @@ def test_random_walk_same_seed_reproduces():
 
 
 def test_generate_stream_rejects_nonpositive_length():
-    with pytest.raises(EmptyStreamError):
+    with pytest.raises(ConfigError):
         generate_stream(IidUniform(UNIT, seed=0), 0)
 
 
