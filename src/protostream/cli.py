@@ -1,7 +1,9 @@
 """Command-line front end: run traces, parameter sweeps, verification suite.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration or input
-error, 3 output I/O error.
+Exit codes, all decided in ``main``: 0 success; 1 a verification check
+failed (every line was written); 2 configuration or input error, an
+unreadable config file included; 3 any other OSError, from a trace or
+summary file, a pool that cannot start, or stdout.
 
 Every run goes through ``experiments.theorem_experiment``, which also
 writes the trace CSV; the trace format (``TRACE_HEADER``, the writer and
@@ -22,6 +24,7 @@ exactly when its ``tail_mean_delta`` check passes.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
@@ -31,6 +34,9 @@ from typing import Callable, NamedTuple, Optional
 
 from .errors import ConfigError, ProtostreamError
 from .experiments import (  # noqa: F401  (the trace format names are re-exported)
+    SERIES_WINDOW,
+    STABILIZATION_DELTA,
+    TAIL_WINDOW,
     TRACE_HEADER,
     conditional_branch_experiment,
     forced_miss_experiment,
@@ -85,8 +91,10 @@ _RUNS = ("run", "sweep")
 KEYS = {
     "seed": _Key(int, 0, _ALL),
     "index": _Key(str, "vptree", _RUNS, INDEX_KINDS),
-    "window": _Key(int, 1000, _RUNS, help="sliding-window size for trace stats", count=True),
-    "delta": _Key(float, 0.01, _RUNS, help="stabilization threshold on |mean size delta|"),
+    "window": _Key(int, SERIES_WINDOW, _RUNS, help="sliding-window size for trace stats",
+                   count=True),
+    "delta": _Key(float, STABILIZATION_DELTA, _RUNS,
+                  help="stabilization threshold on |mean size delta|"),
     "target": _Key(str, "sine_1d", _RUNS, tuple(sorted(TARGETS))),
     "metric": _Key(str, "euclidean", _RUNS, INPUT_METRICS),
     "epsilon": _Key(float, 0.05, _RUNS),
@@ -108,7 +116,7 @@ KEYS = {
     "miss_trials": _Key(int, 10_000, ("verify",), count=True),
     "growth_steps": _Key(int, 100_000, ("verify",), count=True),
     "theorem_steps": _Key(int, 200_000, ("verify",), count=True),
-    "tail_window": _Key(int, 50_000, ("verify",), count=True),
+    "tail_window": _Key(int, TAIL_WINDOW, ("verify",), count=True),
     # Fault injection to test verify itself: a hidden flag with no config-file key.
     "inject_removal_probability": _Key(float, None, ("verify",), help=argparse.SUPPRESS),
 }
@@ -270,11 +278,7 @@ def cmd_run(cfg: CliConfig) -> int:
     v = cfg.values
     trace_path = v["output"] or "trace.csv"
     [(config, generator)] = cfg.runs
-    try:
-        report = _drive(v, config, generator, 0, trace_path)
-    except OSError as exc:
-        print(f"error: cannot write trace: {exc}", file=sys.stderr)
-        return 3
+    report = _drive(v, config, generator, 0, trace_path)
     print(f"trace written to {trace_path}")
     for line in report.summary_lines():
         print(line)
@@ -315,30 +319,15 @@ def _sweep_worker(v: dict, config: LearnerConfig, generator, run_index: int,
 def cmd_sweep(cfg: CliConfig) -> int:
     v = cfg.values
     out_dir = v["output"] or "sweep_out"
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 3
-
+    os.makedirs(out_dir, exist_ok=True)
     tasks = []
     for run_index, (config, generator) in enumerate(cfg.runs):
         tasks.append((v, config, generator, run_index,
                       os.path.join(out_dir, _trace_name(config))))
-    try:
-        lines = _map_tasks(_sweep_worker, tasks, v["jobs"])
-    except OSError as exc:
-        print(f"error: cannot write trace: {exc}", file=sys.stderr)
-        return 3
-
-    summary_path = os.path.join(out_dir, "summary.csv")
-    try:
-        with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(SUMMARY_HEADER + "\n")
-            fh.writelines(lines)
-    except OSError as exc:
-        print(f"error: cannot write summary: {exc}", file=sys.stderr)
-        return 3
+    lines = _map_tasks(_sweep_worker, tasks, v["jobs"])
+    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+        fh.write(SUMMARY_HEADER + "\n")
+        fh.writelines(lines)
     print(f"{len(lines)} runs written under {out_dir}")
     return 0
 
@@ -355,7 +344,6 @@ THEOREM_QS = (0.5, 0.75, 0.9)
 BRANCH_TOL = 0.01
 HIT_DELTA_TOL = 0.015
 GROWTH_TOL = 0.01
-STABILIZATION_TOL = 0.01
 THEOREM_HIT_TOL = 0.03
 
 # verify's experiments as (kind, i), longest first, so that the pool's
@@ -398,11 +386,13 @@ def _verify_task(v: dict, kind: str, i: int) -> list:
     target = TARGETS["sine_1d"]
     config = LearnerConfig(epsilon=0.05, q=q, seed=base_seed + 200 + i)
     generator = IidUniform(target.domain, config.seed, points_stream_index(0))
-    # "Stabilized" is exactly the tail_mean_delta check passing.
+    # At the default threshold, STABILIZATION_DELTA, "stabilized" is exactly
+    # the tail_mean_delta check passing.
     report = theorem_experiment(
         target, METRICS["euclidean"], config, generator, v["theorem_steps"],
-        tail_window=v["tail_window"], stabilization_delta=STABILIZATION_TOL)
-    return [(f"theorem q={q:g} tail_mean_delta", report.tail_mean_delta, 0.0, STABILIZATION_TOL),
+        tail_window=v["tail_window"])
+    return [(f"theorem q={q:g} tail_mean_delta", report.tail_mean_delta, 0.0,
+             STABILIZATION_DELTA),
             (f"theorem q={q:g} tail_hit_rate",
              report.tail_hit_rate if report.stabilized else None, q, THEOREM_HIT_TOL)]
 
@@ -438,18 +428,23 @@ def cmd_verify(cfg: CliConfig) -> int:
 
 
 def main(argv=None) -> int:
-    # Any package error, at parse or at run time, is a configuration or
-    # input error (exit 2); exit 1 stays reserved for failed checks.
+    # The one place where an outcome becomes an exit code (module docstring).
+    # An OSError, stdout's too, wins over a verdict that was never delivered.
     try:
         cfg = parse_config(argv)
-        if cfg.subcommand == "run":
-            return cmd_run(cfg)
-        if cfg.subcommand == "sweep":
-            return cmd_sweep(cfg)
-        return cmd_verify(cfg)
+        # Built at each call: the benchmark tracer replaces these names.
+        command = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}[cfg.subcommand]
+        code = command(cfg)
+        if sys.stdout is None:  # started with stdout closed: no line went out
+            raise OSError(errno.EBADF, "stdout is closed")
+        sys.stdout.flush()
+        return code
     except ProtostreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

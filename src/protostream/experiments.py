@@ -53,6 +53,11 @@ from .streams import generate_stream
 TRACE_HEADER = "n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta"
 _ACTIONS = frozenset(action.value for action in Action)
 
+# theorem_experiment's defaults, which the command line's keys share.
+TAIL_WINDOW = 50_000
+SERIES_WINDOW = 1000
+STABILIZATION_DELTA = 0.01
+
 
 def format_float(x: float) -> str:
     """17 significant digits: every float round-trips through the text."""
@@ -156,8 +161,8 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
 
 def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
                        config: LearnerConfig, generator, steps: int,
-                       tail_window: int = 50_000, series_window: int = 1000,
-                       stabilization_delta: float = 0.01,
+                       tail_window: int = TAIL_WINDOW, series_window: int = SERIES_WINDOW,
+                       stabilization_delta: float = STABILIZATION_DELTA,
                        index_kind: str = "vptree", run_index: int = 0,
                        trace_path: Optional[str] = None) -> RunReport:
     """Full learner run; reports tail estimators and the stabilization flag.

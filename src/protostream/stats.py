@@ -25,7 +25,7 @@ class WindowStats:
 
     __slots__ = ("window_size", "_events", "_hits", "_delta_sum")
 
-    def __init__(self, window_size: int = 1000):
+    def __init__(self, window_size: int):
         if window_size < 1:
             raise ConfigError(f"window size must be at least 1, got {window_size}")
         self.window_size = window_size

@@ -150,9 +150,6 @@ class RandomWalk:
             raise ConfigError(f"walk bounds {self.bounds} and step scale "
                               f"{self.step_scale} overflow the reflection")
 
-    def generate(self, length: int) -> "StreamView":
-        return StreamView(self, length)
-
     def points(self, length: int) -> Iterator[tuple]:
         rng = RandomStream(self.seed, self.stream)
         pos = [0.5 * (lo + hi) for lo, hi in self.bounds]

@@ -3,9 +3,9 @@
 ``perfbench/tracer.py`` replaces package functions by name.  If one of those
 names moves, a traced benchmark run fails or silently counts nothing; these
 tests run small traced commands in a fresh interpreter and check that every
-step, stream point and draw went through the patched functions.  The two
-theorem workloads also run here for seed 0, so a change to their output
-bytes fails the tests and not only a benchmark run.
+step, stream point and draw went through the patched functions.  Every
+workload also runs here for seed 0, so a change to its output bytes fails
+the tests and not only a benchmark run.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from protostream import cli
 from protostream.cli import parse_config, read_trace
 from protostream.experiments import theorem_experiment
 from protostream.learner import LearnerConfig
@@ -136,21 +137,41 @@ def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
     assert kinds == {"run", "verify"}
 
 
-@pytest.mark.parametrize("name", ["big_model", "churn"])
-def test_theorem_workload_bytes_match_the_reference(name, monkeypatch):
-    # Seed 0 of a theorem workload, run in this process as perfbench/child.py
-    # runs it, must give the RunReport bytes recorded in reference.json.
-    run = _load_run(monkeypatch)
-    spec = run.WORKLOADS[name]
-    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
-        reference = json.load(fh)[name]
-    if reference["spec"] != spec:
-        pytest.skip(f"{name} changed since its reference was recorded")
+def _workload_output(spec: dict, product: Path, capsys) -> bytes:
+    """Seed 0 of a workload, run in this process as perfbench/child.py runs it.
+
+    Returns the bytes its reference digest covers (``run.checked_output``).
+    """
+    if spec["kind"] == "run":
+        cfg = parse_config(spec["argv"] + ["--steps", str(spec["steps"]), "--seed", "0",
+                                           "--output", str(product)])
+        assert cli.cmd_run(cfg) == 0
+        return product.read_bytes()
+    if spec["kind"] == "verify":
+        argv = ["verify", "--seed", "0"]
+        for key, value in spec["params"].items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        capsys.readouterr()
+        assert cli.cmd_verify(parse_config(argv)) == 0
+        return capsys.readouterr().out.encode()
     target = TARGETS[spec["target"]]
     config = LearnerConfig(epsilon=spec["epsilon"], q=spec["q"], seed=0)
     generator = IidUniform(target.domain, 0, points_stream_index(0))
     report = theorem_experiment(target, METRICS[spec["metric"]], config, generator,
                                 spec["steps"], tail_window=spec["tail_window"],
                                 index_kind=spec["index"])
-    text = json.dumps(dataclasses.asdict(report), sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == reference["sha256"]["0"]
+    return json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
+
+
+@pytest.mark.parametrize("name", ["run_trace", "big_model", "churn", "verify_suite"])
+def test_theorem_workload_bytes_match_the_reference(name, monkeypatch, tmp_path, capsys):
+    # Seed 0 of every workload must give the bytes recorded in reference.json:
+    # the trace CSV, the RunReport JSON or verify's stdout.
+    run = _load_run(monkeypatch)
+    spec = run.WORKLOADS[name]
+    with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
+        reference = json.load(fh)[name]
+    if reference["spec"] != spec:
+        pytest.skip(f"{name} changed since its reference was recorded")
+    data = _workload_output(spec, tmp_path / "product", capsys)
+    assert hashlib.sha256(data).hexdigest() == reference["sha256"]["0"]

@@ -1,8 +1,10 @@
 """Command-line behavior: parsing, exit codes, CSV outputs."""
 
+import errno
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 
@@ -185,6 +187,21 @@ def test_run_unwritable_output_exits_three(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
+def test_run_whose_stdout_fails_exits_three(redirect, tmp_path):
+    # The trace is written; the summary lines on stdout are not, so the
+    # outcome is an output error, told in one stderr line.
+    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    command = (f"{shlex.quote(sys.executable)} -m protostream run --steps 10 "
+               f"--output {shlex.quote(str(tmp_path / 't.csv'))} {redirect}")
+    done = subprocess.run(command, shell=True, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert "Traceback" not in done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: cannot write output"), line
+
+
 def test_run_grid_stream_respects_lattice_limit(tmp_path):
     out = tmp_path / "g.csv"
     code = main(["run", "--stream", "grid", "--grid-resolution", "3",
@@ -237,6 +254,26 @@ def test_sweep_summary_bytes_are_pinned(tmp_path):
         assert hashlib.sha256(summary).hexdigest() == SWEEP_SUMMARY_SHA256, jobs
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_output_that_is_a_file_exits_three(jobs, tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["sweep", "--steps", "20", "--q-list", "0.5,0.9", "--jobs", jobs,
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot ")
+    assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_trace_path_that_is_a_directory_exits_three(jobs, tmp_path, capsys):
+    out = tmp_path / "sweep"
+    (out / "trace_q0.9_eps0.05_seed0.csv").mkdir(parents=True)
+    assert main(["sweep", "--steps", "20", "--q-list", "0.5,0.9", "--jobs", jobs,
+                 "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: cannot ")
+    assert not (out / "summary.csv").exists()
+
+
 def test_sweep_empty_list_rejected():
     assert main(["sweep", "--q-list", ""]) == 2
 
@@ -282,6 +319,35 @@ def test_verify_stdout_does_not_depend_on_jobs(extra, code, digest, capsys):
         assert main(FAST_VERIFY + extra + ["--jobs", jobs]) == code
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, jobs
+
+
+class _FullDevice:
+    """A stdout on a full device: every write fails, and every flush after one.
+
+    A flush with nothing written succeeds, as on a real device; a pool flushes
+    stdout before it starts a worker.
+    """
+
+    written = False
+
+    def write(self, text):
+        self.written = True
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        if self.written:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_whose_verdict_cannot_be_written_exits_three(jobs, monkeypatch, capsys):
+    # Every check passes, but no line reaches stdout: exit 1 would say a
+    # check failed, and exit 0 that the verdict was delivered.
+    monkeypatch.setattr(sys, "stdout", _FullDevice())
+    assert main(FAST_VERIFY + ["--jobs", jobs]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"error: cannot write output: [Errno {errno.ENOSPC}] "
+                   f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_verify_detects_corrupted_removal_probability(capsys):
