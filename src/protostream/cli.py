@@ -448,4 +448,9 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    code = main()
+    if code == 3 and sys.stdout is not None:
+        # Drop what stdout could not take (commands print only after their
+        # files are written), or the exit flush fails again and exits 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

@@ -8,7 +8,6 @@ workload also runs here for seed 0, so a change to its output bytes fails
 the tests and not only a benchmark run.
 """
 
-import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -20,13 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from protostream import cli
-from protostream.cli import parse_config, read_trace
-from protostream.experiments import theorem_experiment
-from protostream.learner import LearnerConfig
-from protostream.metrics import METRICS, TARGETS
-from protostream.rng import points_stream_index
-from protostream.streams import IidUniform
+from protostream.cli import read_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,70 +101,47 @@ def test_traced_verify_counts_every_step():
     assert int(proc.stdout.split()[-1]) == 4 * 300 + 200 + 3 * 2000 == 7400
 
 
-def _load_run(monkeypatch):
-    # perfbench/run.py, imported by path: it is a script, not a package.
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
-    spec.loader.exec_module(run)
-    return run
+def _load_script(name: str, monkeypatch):
+    # A perfbench script, imported by path: perfbench is not a package.
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_command_lines_parse(tmp_path, monkeypatch):
-    # Each CLI workload's argv, built as perfbench/child.py builds it: a key
-    # the benchmark passes cannot be renamed or dropped without failing here.
-    run = _load_run(monkeypatch)
+    # Each workload's configuration, parsed by perfbench/child.py's own
+    # prepare: a key the benchmark passes cannot be renamed or dropped
+    # without failing here.  Nothing runs.
+    run = _load_script("run", monkeypatch)
+    child = _load_script("child", monkeypatch)
     kinds = set()
     for name, workload in run.WORKLOADS.items():
-        if workload["kind"] == "run":
-            argv = workload["argv"] + ["--steps", str(workload["steps"]), "--seed", "0",
-                                       "--output", str(tmp_path / "t.csv")]
-        elif workload["kind"] == "verify":
-            argv = ["verify", "--seed", "0"]
-            for key, value in workload["params"].items():
-                argv += ["--" + key.replace("_", "-"), str(value)]
-        else:
-            continue
-        assert parse_config(argv).subcommand == argv[0], name
+        assert callable(child.prepare(workload, 0, str(tmp_path / "product"))), name
         kinds.add(workload["kind"])
-    assert kinds == {"run", "verify"}
-
-
-def _workload_output(spec: dict, product: Path, capsys) -> bytes:
-    """Seed 0 of a workload, run in this process as perfbench/child.py runs it.
-
-    Returns the bytes its reference digest covers (``run.checked_output``).
-    """
-    if spec["kind"] == "run":
-        cfg = parse_config(spec["argv"] + ["--steps", str(spec["steps"]), "--seed", "0",
-                                           "--output", str(product)])
-        assert cli.cmd_run(cfg) == 0
-        return product.read_bytes()
-    if spec["kind"] == "verify":
-        argv = ["verify", "--seed", "0"]
-        for key, value in spec["params"].items():
-            argv += ["--" + key.replace("_", "-"), str(value)]
-        capsys.readouterr()
-        assert cli.cmd_verify(parse_config(argv)) == 0
-        return capsys.readouterr().out.encode()
-    target = TARGETS[spec["target"]]
-    config = LearnerConfig(epsilon=spec["epsilon"], q=spec["q"], seed=0)
-    generator = IidUniform(target.domain, 0, points_stream_index(0))
-    report = theorem_experiment(target, METRICS[spec["metric"]], config, generator,
-                                spec["steps"], tail_window=spec["tail_window"],
-                                index_kind=spec["index"])
-    return json.dumps(dataclasses.asdict(report), sort_keys=True).encode()
+    assert kinds == {"run", "verify", "theorem"}
 
 
 @pytest.mark.parametrize("name", ["run_trace", "big_model", "churn", "verify_suite"])
 def test_theorem_workload_bytes_match_the_reference(name, monkeypatch, tmp_path, capsys):
     # Seed 0 of every workload must give the bytes recorded in reference.json:
     # the trace CSV, the RunReport JSON or verify's stdout.
-    run = _load_run(monkeypatch)
+    run = _load_script("run", monkeypatch)
     spec = run.WORKLOADS[name]
     with open(ROOT / "perfbench" / "reference.json", encoding="utf-8") as fh:
         reference = json.load(fh)[name]
     if reference["spec"] != spec:
         pytest.skip(f"{name} changed since its reference was recorded")
-    data = _workload_output(spec, tmp_path / "product", capsys)
+    # Run in this process by perfbench/child.py itself, so the test checks
+    # what the benchmark runs.
+    child = _load_script("child", monkeypatch)
+    product = tmp_path / "product"
+    capsys.readouterr()
+    assert child.main(["--spec", json.dumps(spec), "--seed", "0", "--product", str(product),
+                       "--result", str(tmp_path / "result.json")]) == 0
+    stdout = capsys.readouterr().out.encode()
+    product_bytes = product.read_bytes() if product.exists() else b""
+    data = run.checked_output(spec, stdout, product_bytes)
     assert hashlib.sha256(data).hexdigest() == reference["sha256"]["0"]

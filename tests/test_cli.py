@@ -187,15 +187,33 @@ def test_run_unwritable_output_exits_three(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("redirect", [">/dev/full", ">&-"], ids=["full", "closed"])
-def test_run_whose_stdout_fails_exits_three(redirect, tmp_path):
+@pytest.mark.parametrize("stdout", ["full", "broken-pipe", "closed"])
+def test_run_whose_stdout_fails_exits_three(stdout, tmp_path):
     # The trace is written; the summary lines on stdout are not, so the
-    # outcome is an output error, told in one stderr line.
-    if redirect == ">/dev/full" and not os.path.exists("/dev/full"):
-        pytest.skip("needs /dev/full")
-    command = (f"{shlex.quote(sys.executable)} -m protostream run --steps 10 "
-               f"--output {shlex.quote(str(tmp_path / 't.csv'))} {redirect}")
-    done = subprocess.run(command, shell=True, stderr=subprocess.PIPE, text=True, timeout=60)
+    # outcome is an output error, told in one stderr line.  stdout is
+    # block-buffered, as it is for a user: the lines it could not take stay
+    # in its buffer, and the interpreter's exit flush must not fail again.
+    argv = [sys.executable, "-m", "protostream", "run", "--steps", "10",
+            "--output", str(tmp_path / "t.csv")]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if stdout == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+    elif stdout == "broken-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe fails with EPIPE
+        try:
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, timeout=60)
+        finally:
+            os.close(write_end)
+    else:
+        command = shlex.join(argv) + " >&-"
+        done = subprocess.run(command, shell=True, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=60)
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
