@@ -3,7 +3,7 @@
 Exit codes, all decided in ``main``: 0 success; 1 a verification check
 failed (every line was written); 2 configuration or input error, an
 unreadable config file included; 3 any other OSError, from a trace or
-summary file, a pool that cannot start, or stdout.
+summary file, a pool that cannot start or loses a worker, or stdout.
 
 Every run goes through ``experiments.theorem_experiment``, which also
 writes the trace CSV; the trace format (``TRACE_HEADER``, the writer and
@@ -299,10 +299,13 @@ def _map_tasks(fn, tasks: list, jobs: Optional[int]) -> list:
     if workers > 1:
         # Imported here: it is a large share of the package's import time, and
         # ``run`` and a one-worker map never use it.
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(fn, *zip(*tasks)))
+        except BrokenExecutor as exc:  # for main an output error (exit 3), not a traceback
+            raise OSError(f"a worker process died: {exc}") from None
     return [fn(*task) for task in tasks]
 
 
@@ -440,17 +443,22 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except ProtostreamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 3
+        code, message = 3, f"error: cannot write output: {exc}"
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        try:
+            print(message, file=sys.stderr)
+        except OSError:  # the code stands; console_main drops the line
+            pass
+    return code
 
 
 def console_main() -> None:
     code = main()
-    if code == 3 and sys.stdout is not None:
-        # Drop what stdout could not take (commands print only after their
-        # files are written), or the exit flush fails again and exits 120.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # drop what it cannot take, or the exit flush fails: exit 120
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)

@@ -18,7 +18,7 @@ class DimensionMismatchError(ProtostreamError):
 
 
 class PositionOutOfRangeError(ProtostreamError):
-    """Raised when an index removal names a position outside the live sequence."""
+    """Raised when an index is handed a negative, out-of-range or removed handle."""
 
 
 class ConfigError(ProtostreamError):

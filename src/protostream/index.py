@@ -1,20 +1,21 @@
 """Exact nearest-set search with two interchangeable backends.
 
-Both backends answer the same question: the ordered list of positions in
-the current point sequence whose distance to the query is within
-``tie_tolerance`` (relative) of the exact minimum.  ``LinearScanIndex``
-is the reference; ``VpTreeIndex`` prunes with the triangle inequality
-and must return the identical position set for any operation sequence
-that both accept (see below for the inserts only the linear scan accepts).
-Each backend is also the learner's exemplar store: ``insert(point,
-output)`` keeps the output with its point and ``output(position)`` reads
-it back.
+Both backends answer the same question: the ascending handles of the
+exemplars whose distance to the query is within ``tie_tolerance``
+(relative) of the exact minimum.  A handle names one exemplar until the
+next ``remove``, and ``output(handle)`` and ``remove(handle)`` take it;
+a negative, out-of-range or removed handle raises PositionOutOfRangeError.
+Handles ascend in insertion order, so the k-th handle of a tie set names
+the same exemplar on both backends.  ``LinearScanIndex`` is the reference
+and hands out positions; ``VpTreeIndex`` prunes with the triangle
+inequality, hands out its internal ids, and must return the same
+exemplars for any operation sequence that both accept (see below for the
+inserts only the linear scan accepts).
 
 The tree answers a query in a single descent.  It keeps every live point
 within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
 prunes against that shrinking band, and at the end drops the candidates
-outside the band of the exact minimum.  It keeps the live internal ids in
-one ascending list; a point's position is the rank of its id there.
+outside the band of the exact minimum.
 
 A removal takes the id out of its leaf at once and releases its point and
 output, so leaves hold only live ids and a query never measures a removed
@@ -48,7 +49,6 @@ the live points share one dimension.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 
 from .errors import DimensionMismatchError, EmptyModelError, PositionOutOfRangeError
 from .metrics import MetricDescriptor, euclidean_distance
@@ -104,7 +104,7 @@ def _check_position(position: int, n: int) -> None:
 
 
 class LinearScanIndex:
-    """Brute-force backend; the oracle the tree is checked against."""
+    """Brute-force backend, the tree's oracle; its handles are positions."""
 
     def __init__(self, metric: MetricDescriptor):
         self._distance, self._mismatch = _resolve(metric)
@@ -137,11 +137,11 @@ class LinearScanIndex:
 class _Node:
     """Tree node; ``bucket`` is a list of point ids at leaves, else None.
 
-    An internal node is ``live`` until its vantage point is removed.  A
-    leaf splits once its bucket outgrows ``cap``.  A split that cannot
-    separate the bucket (every point at one distance from the vantage)
-    doubles the leaf's ``cap``, so the next attempt waits until the bucket
-    has doubled instead of coming at every insert.
+    An internal node is ``live`` until its vantage point is removed; a leaf
+    is always ``live``.  A leaf splits once its bucket outgrows ``cap``.  A
+    split that cannot separate the bucket (every point at one distance from
+    the vantage) doubles the leaf's ``cap``, so the next attempt waits until
+    the bucket has doubled instead of coming at every insert.
     """
 
     __slots__ = ("vantage", "live", "mu", "inner", "outer", "bucket", "cap")
@@ -161,35 +161,35 @@ class VpTreeIndex:
 
     Inserts descend by the stored split radii, so the partition invariant
     (inner holds exactly the points with d(vantage, p) <= mu) survives
-    mutation.  ``_node`` names each id's node: the leaf that holds it, or
+    mutation.  Points get increasing internal ids, the handles the tree
+    hands out.  ``_node`` names each id's node: the leaf that holds it, or
     the internal node whose vantage point it is.  Removal takes the id out
-    of its leaf, or clears its internal node's ``live``.  The tree
-    is rebuilt from live points whenever the removed ids still holding a
-    slot, ``len(_points) - len(_ids)``, exceed twice the live count, so
-    ``len(_points)`` never exceeds three times the live count.
-
-    Points get increasing internal ids and ``_ids`` lists the live ones in
-    ascending order.  Removal keeps the relative order, so a point's
-    position is the rank of its id in ``_ids``.  A rebuild renumbers the
-    live ids to ``0..n-1``, order preserved, and drops the dead entries;
-    positions, vantage picks and tie orders are unchanged by it.
+    of its leaf and clears its ``_node`` entry, or clears its internal
+    node's ``live``, so an id is live exactly when its node is not None and
+    ``live``.  The tree is rebuilt from live points whenever the removed ids
+    still holding a slot, ``len(_points) - _live``, exceed twice the live
+    count, so ``len(_points)`` never exceeds three times the live count.  A
+    rebuild renumbers the live ids to ``0..n-1``, order preserved, and drops
+    the dead entries; vantage picks and tie orders are unchanged by it.
     """
 
     def __init__(self, metric: MetricDescriptor):
         self._distance, self._mismatch = _resolve(metric)
         self._points: list = []       # by internal id, compacted at rebuild
         self._outputs: list = []      # by internal id, compacted at rebuild
-        self._node: list = []         # by internal id: its leaf or vantage node
-        self._ids: list[int] = []     # live ids, ascending
-        self._root: _Node | None = None
+        self._node: list = []         # by internal id: its leaf or vantage node, or None
+        self._live = 0                # number of live ids
+        self._root = _Node([])        # an empty leaf while nothing is stored
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self._live
 
-    def output(self, position: int):
-        ids = self._ids
-        _check_position(position, len(ids))
-        return self._outputs[ids[position]]
+    def output(self, handle: int):
+        node_of = self._node
+        node = node_of[handle] if 0 <= handle < len(node_of) else None
+        if node is None or not node.live:
+            raise PositionOutOfRangeError(f"handle {handle} names no live exemplar")
+        return self._outputs[handle]
 
     # -- maintenance ---------------------------------------------------
 
@@ -200,14 +200,11 @@ class VpTreeIndex:
         dist = self._distance
         pts = self._points
         try:
-            while node is not None and node.bucket is None:
+            while node.bucket is None:
                 node = node.inner if dist(pts[node.vantage], point) <= node.mu else node.outer
             pid = len(pts)
             pts.append(point)
             self._outputs.append(output)
-            self._ids.append(pid)
-            if node is None:
-                node = self._root = _Node([])
             self._node.append(node)
             bucket = node.bucket
             bucket.append(pid)
@@ -221,41 +218,35 @@ class VpTreeIndex:
                     bucket.pop()
                     pts.pop()
                     self._outputs.pop()
-                    self._ids.pop()
                     self._node.pop()
                     raise
         except self._mismatch as exc:
             raise _dimension_error(exc) from None
+        self._live += 1
 
-    def remove(self, position: int) -> None:
+    def remove(self, handle: int) -> None:
         # Points of different dimensions can only share a root leaf (a
         # descent or split measures every other stored point against the
         # root vantage), and a rebuild does not split that: it cannot raise.
-        _check_position(position, len(self._ids))
-        ids = self._ids
-        pid = ids.pop(position)
-        node = self._node[pid]
+        self.output(handle)  # raises PositionOutOfRangeError unless the handle is live
+        node = self._node[handle]
         if node.bucket is None:
             # A vantage point keeps its point: descents still measure it.
             node.live = False
         else:
-            node.bucket.remove(pid)
-            self._points[pid] = self._outputs[pid] = None
-        if len(self._points) - len(ids) > 2 * len(ids):
+            node.bucket.remove(handle)
+            self._node[handle] = self._points[handle] = self._outputs[handle] = None
+        self._live = live = self._live - 1
+        if len(self._points) - live > 2 * live:
             self._rebuild()
 
     def _rebuild(self) -> None:
-        ids = self._ids
-        pts = self._points
-        outputs = self._outputs
+        # Leaves are always live, so an id is live while its node is.
+        ids = [i for i, node in enumerate(self._node) if node is not None and node.live]
+        pts, outputs = self._points, self._outputs
         self._points = [pts[i] for i in ids]
         self._outputs = [outputs[i] for i in ids]
         n = len(ids)
-        self._ids = list(range(n))
-        if not n:
-            self._root = None
-            self._node = []
-            return
         root = _Node(list(range(n)))
         self._node = [root] * n
         old, self._root = self._root, root
@@ -312,7 +303,7 @@ class VpTreeIndex:
         # best * (1 + tol) is a candidate, and the band only shrinks, so
         # the candidates include the final tie set.  Each id sits in one
         # node, so each distance is evaluated at most once.
-        if not self._ids:
+        if not self._live:
             raise EmptyModelError("nearest-set query against an empty index")
         dist = self._distance
         pts = self._points
@@ -365,10 +356,7 @@ class VpTreeIndex:
             raise _dimension_error(exc) from None
         # bound is now best * (1 + tol) for the exact minimum best, the same
         # threshold linear_tie_set applies (best * 1.0 == best at tol 0).
-        ids = self._ids
-        positions = [bisect_left(ids, pid) for pid, d in found if d <= bound]
-        positions.sort()
-        return positions
+        return sorted([pid for pid, d in found if d <= bound])
 
 
 # The one place an index kind name maps to a backend class.

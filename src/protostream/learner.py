@@ -8,6 +8,9 @@ uniformly sampled nearest exemplar; if its stored output is farther than
 the consulted exemplar itself is removed with probability ``1/q - 1`` and
 kept with probability ``2 - 1/q``.
 
+A step hands the handle it samples to ``output`` and ``remove``; handles
+ascend in insertion order, so a draw picks the same exemplar on both backends.
+
 Per-step randomness consumption is fixed and part of the reproducibility
 contract: first the tie-break draw(s) of the nearest-set sample, then,
 only on a hit, exactly one unit draw for the removal coin.
@@ -18,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 from .errors import ConfigError
 from .metrics import MetricDescriptor
@@ -65,7 +67,6 @@ class LearnerConfig:
 class StepOutcome:
     """Full record of one update step."""
 
-    sampled_index: Optional[int]
     output_distance: float
     hit: bool
     action: Action
@@ -97,16 +98,16 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
     n = len(index)
     if not n:
         index.insert(x, y_true)
-        return StepOutcome(None, math.inf, False, Action.INSERT, 1, +1)
+        return StepOutcome(math.inf, False, Action.INSERT, 1, +1)
 
     sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
     d = output_metric.distance(index.output(sampled), y_true)
 
     if d > config.epsilon:
         index.insert(x, y_true)
-        return StepOutcome(sampled, d, False, Action.INSERT, n + 1, +1)
+        return StepOutcome(d, False, Action.INSERT, n + 1, +1)
 
     if resolve_hit_action(config.remove_probability, rng) is Action.REMOVE:
         index.remove(sampled)
-        return StepOutcome(sampled, d, True, Action.REMOVE, n - 1, -1)
-    return StepOutcome(sampled, d, True, Action.KEEP, n, 0)
+        return StepOutcome(d, True, Action.REMOVE, n - 1, -1)
+    return StepOutcome(d, True, Action.KEEP, n, 0)

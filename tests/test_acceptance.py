@@ -23,6 +23,8 @@ from protostream.metrics import METRICS, TARGETS
 from protostream.rng import RandomStream, points_stream_index
 from protostream.streams import IidUniform
 
+from handles import live_handles, nearest_outputs
+
 BRANCH_QS = (0.5, 0.6, 0.75, 0.9)
 BRANCH_TRIALS = 100_000
 BRANCH_TOL = 0.01
@@ -164,23 +166,25 @@ def _float_point(rng, dim):
 
 
 def _differential_ops(metric, ops, seed, make_point, tie_tol):
+    # Each point's output is its operation number, so equal outputs name
+    # the same exemplar on both backends.
     rng = RandomStream(seed, 0)
     lin = LinearScanIndex(metric)
     vpt = VpTreeIndex(metric)
     queries = 0
-    for _ in range(ops):
+    for op in range(ops):
         roll = rng.next_below(10)
         if roll < 5 or len(lin) == 0:
             p = make_point(rng)
-            lin.insert(p)
-            vpt.insert(p)
+            lin.insert(p, op)
+            vpt.insert(p, op)
         elif roll < 7:
-            pos = rng.next_below(len(lin))
-            lin.remove(pos)
-            vpt.remove(pos)
+            k = rng.next_below(len(lin))
+            lin.remove(k)
+            vpt.remove(live_handles(vpt)[k])
         else:
             x = make_point(rng)
-            if lin.query_nearest_set(x, tie_tol) != vpt.query_nearest_set(x, tie_tol):
+            if nearest_outputs(lin, x, tie_tol) != nearest_outputs(vpt, x, tie_tol):
                 return queries, False
             queries += 1
     return queries, True

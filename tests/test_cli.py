@@ -220,6 +220,29 @@ def test_run_whose_stdout_fails_exits_three(stdout, tmp_path):
     assert line.startswith("error: cannot write output"), line
 
 
+@pytest.mark.parametrize("stderr", ["full", "closed"])
+@pytest.mark.parametrize("flags, code", [(["--q", "2"], 2),
+                                         (["--output", "nodir/t.csv"], 3)])
+def test_failing_stderr_keeps_the_exit_code(flags, code, stderr, tmp_path):
+    # The error line cannot be written either; the exit code must still
+    # tell a configuration error (2) from an output error (3), not a failed
+    # check (1) or a failed exit flush (120).  stderr is line-buffered, as it
+    # is for a user, so the line it could not take stays in its buffer; and
+    # the line must not go to stdout instead.
+    argv = [sys.executable, "-m", "protostream", "run", "--steps", "10", *flags]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if stderr == "full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(argv, stdout=subprocess.PIPE, stderr=full, cwd=tmp_path,
+                                  env=env, timeout=60)
+    else:
+        done = subprocess.run(shlex.join(argv) + " 2>&-", shell=True, stdout=subprocess.PIPE,
+                              cwd=tmp_path, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (code, b"")
+
+
 def test_run_grid_stream_respects_lattice_limit(tmp_path):
     out = tmp_path / "g.csv"
     code = main(["run", "--stream", "grid", "--grid-resolution", "3",
@@ -237,6 +260,19 @@ def test_run_does_not_import_the_pool(tmp_path):
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True, timeout=60)
         assert done.stdout.splitlines()[-1] == "False", code
+
+
+def test_discrete_metric_traces_match_across_backends(tmp_path):
+    # Under the discrete metric every live point ties with every other, so
+    # every query returns the whole model: the one geometry where the tree's
+    # nearest set is every stored exemplar.
+    traces = []
+    for kind in ("vptree", "linear"):
+        out = tmp_path / f"{kind}.csv"
+        assert main(["run", "--metric", "discrete", "--steps", "1500", "--index", kind,
+                     "--output", str(out)]) == 0
+        traces.append(out.read_bytes())
+    assert traces[0] == traces[1]
 
 
 def test_sweep_writes_traces_and_summary(tmp_path):

@@ -255,6 +255,22 @@ def test_verify_pool_size_and_longest_tasks_first(jobs, expected, recording_pool
         assert [i for _values, _kind, i in tasks[:3]] == [0, 1, 2]
 
 
+def _die(*_task):
+    # A pool worker that ends abruptly, as one killed by the OOM killer does.
+    os._exit(9)
+
+
+def test_dead_pool_worker_is_an_output_error(monkeypatch, capsys):
+    # BrokenProcessPool is no OSError; _map_tasks turns it into one, so main
+    # exits 3 with one stderr line instead of a traceback and exit 1.
+    with pytest.raises(OSError, match="a worker process died"):
+        cli._map_tasks(_die, [(1,), (2,)], 2)
+    monkeypatch.setattr(cli, "_verify_task", _die)
+    assert cli.main(_TINY_VERIFY + ["--jobs", "2"]) == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: cannot write output: a worker process died"), line
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", str(-2**63)])
 def test_verify_rejects_nonpositive_jobs(jobs, capsys):
     assert cli.main(_TINY_VERIFY + ["--jobs", jobs]) == 2

@@ -138,7 +138,7 @@ def test_tail_estimators_equal_a_window_over_the_trace(tail_window, tmp_path):
                                 series_window=50, trace_path=path)
     tail = WindowStats(tail_window)
     for row in read_trace(path):
-        tail.update(StepOutcome(None, row.output_distance, row.hit, Action(row.action),
+        tail.update(StepOutcome(row.output_distance, row.hit, Action(row.action),
                                 row.model_size, _DELTA[row.action]))
     assert report.tail_hit_rate == tail.hit_rate
     assert report.tail_mean_delta == tail.mean_size_delta
@@ -162,7 +162,7 @@ def test_series_points_equal_a_window_over_the_trace(series_window, tmp_path):
     window = WindowStats(series_window)
     expected = []
     for row in read_trace(path):
-        window.update(StepOutcome(None, row.output_distance, row.hit, Action(row.action),
+        window.update(StepOutcome(row.output_distance, row.hit, Action(row.action),
                                   row.model_size, _DELTA[row.action]))
         if row.n % series_window == 0:
             expected.append(SeriesPoint(row.n, row.model_size, window.hit_rate,

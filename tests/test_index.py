@@ -17,15 +17,17 @@ from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, MetricDescriptor
 from protostream.rng import RandomStream
 
+from handles import live_handles, nearest_outputs, stored_outputs
+
 EUCLID = METRICS["euclidean"]
 CHEBY = METRICS["chebyshev"]
 
 
 def _filled(cls, metric, points):
-    """A ``cls`` index holding ``points`` in order, each inserted without an output."""
+    """A ``cls`` index holding ``points`` in order, each point's number as its output."""
     idx = cls(metric)
-    for p in points:
-        idx.insert(p)
+    for k, p in enumerate(points):
+        idx.insert(p, k)
     return idx
 
 
@@ -72,10 +74,10 @@ def test_insert_then_query_sees_new_point():
 def test_remove_promotes_runner_up():
     for kind in ("linear", "vptree"):
         idx = _filled(INDEXES[kind], EUCLID, [(1.0,), (2.0,), (3.0,)])
-        assert idx.query_nearest_set((0.0,), 0.0) == [0]
-        idx.remove(0)
-        # positions shift down after removal
-        assert idx.query_nearest_set((0.0,), 0.0) == [0]
+        [nearest] = idx.query_nearest_set((0.0,), 0.0)
+        assert idx.output(nearest) == 0
+        idx.remove(nearest)
+        assert nearest_outputs(idx, (0.0,)) == [1]
         assert len(idx) == 2
 
 
@@ -88,6 +90,28 @@ def test_remove_out_of_range():
     lin = LinearScanIndex(EUCLID)
     with pytest.raises(PositionOutOfRangeError):
         lin.remove(0)
+
+
+@pytest.mark.parametrize("kind", sorted(INDEXES))
+def test_dead_handles_are_refused(kind):
+    # A negative handle, one past every stored exemplar, and a removed one
+    # (the last, so that it names no exemplar on the linear scan either)
+    # are refused by output and remove, and a refused remove changes nothing.
+    idx = _filled(INDEXES[kind], EUCLID, [(float(i),) for i in range(40)])
+    idx.remove(39)
+    dead = [-1, 40, 39]
+    if kind == "vptree":
+        # A removed vantage point keeps its point in its node.
+        vantage = idx._root.vantage
+        idx.remove(vantage)
+        dead.append(vantage)
+    live = stored_outputs(idx)
+    for handle in dead:
+        with pytest.raises(PositionOutOfRangeError):
+            idx.output(handle)
+        with pytest.raises(PositionOutOfRangeError):
+            idx.remove(handle)
+    assert stored_outputs(idx) == live and len(idx) == len(live)
 
 
 def test_query_empty_index_rejected():
@@ -103,6 +127,8 @@ def _random_point(rng, dim, lattice=None):
 
 
 def _differential_session(metric, dim, steps, seed, lattice=None, tie_tol=0.0):
+    # Each point's output is its step number, so equal outputs name the
+    # same exemplar on both backends.
     rng = RandomStream(seed, 0)
     lin = LinearScanIndex(metric)
     vpt = VpTreeIndex(metric)
@@ -110,16 +136,16 @@ def _differential_session(metric, dim, steps, seed, lattice=None, tie_tol=0.0):
         roll = rng.next_below(10)
         if roll < 5 or len(lin) == 0:
             p = _random_point(rng, dim, lattice)
-            lin.insert(p)
-            vpt.insert(p)
+            lin.insert(p, step_no)
+            vpt.insert(p, step_no)
         elif roll < 7:
-            pos = rng.next_below(len(lin))
-            lin.remove(pos)
-            vpt.remove(pos)
+            k = rng.next_below(len(lin))
+            lin.remove(k)
+            vpt.remove(live_handles(vpt)[k])
         else:
             x = _random_point(rng, dim, lattice)
-            got_lin = lin.query_nearest_set(x, tie_tol)
-            got_vpt = vpt.query_nearest_set(x, tie_tol)
+            got_lin = nearest_outputs(lin, x, tie_tol)
+            got_vpt = nearest_outputs(vpt, x, tie_tol)
             assert got_lin == got_vpt, (
                 f"step {step_no}: linear={got_lin} vptree={got_vpt} at {x}"
             )
@@ -166,12 +192,13 @@ def test_rebuild_preserves_live_set():
     vpt = _filled(VpTreeIndex, EUCLID, pts)
     # removing most points forces at least one tombstone rebuild
     for _ in range(180):
-        pos = rng.next_below(len(lin))
-        lin.remove(pos)
-        vpt.remove(pos)
+        k = rng.next_below(len(lin))
+        lin.remove(k)
+        vpt.remove(live_handles(vpt)[k])
+    assert stored_outputs(vpt) == stored_outputs(lin)
     for _ in range(40):
         x = _random_point(rng, 2)
-        assert lin.query_nearest_set(x, 0.0) == vpt.query_nearest_set(x, 0.0)
+        assert nearest_outputs(lin, x) == nearest_outputs(vpt, x)
 
 
 def test_vptree_handles_duplicate_heavy_inserts():
@@ -194,17 +221,16 @@ def test_outputs_follow_positions_through_rebuilds():
                 lin.insert(p, (phase, k))
                 vpt.insert(p, (phase, k))
             else:
-                pos = rng.next_below(len(lin))
-                lin.remove(pos)
-                vpt.remove(pos)
-    assert [vpt.output(i) for i in range(len(vpt))] == \
-           [lin.output(i) for i in range(len(lin))]
+                k = rng.next_below(len(lin))
+                lin.remove(k)
+                vpt.remove(live_handles(vpt)[k])
+    assert stored_outputs(vpt) == stored_outputs(lin)
     # one-argument inserts store None
     vpt.insert((0.5, 0.5))
-    assert vpt.output(len(vpt) - 1) is None
+    assert vpt.output(live_handles(vpt)[-1]) is None
     for idx in (lin, vpt):
         with pytest.raises(PositionOutOfRangeError):
-            idx.output(len(idx))
+            idx.output(max(live_handles(idx)) + 1)
         with pytest.raises(PositionOutOfRangeError):
             idx.output(-1)
 
@@ -259,16 +285,16 @@ def test_failed_split_takes_the_new_point_back_out(metric):
         with pytest.raises(DimensionMismatchError):
             tree.insert((float(i),), i)
         assert len(tree) == 16
-    assert [tree.output(p) for p in range(16)] == ["b", *range(15)]
+    assert stored_outputs(tree) == ["b", *range(15)]
     # Removing the mismatched point heals the tree, because a removal takes
     # it out of its leaf at once: later inserts split as usual.
     for _ in range(6):
-        tree.remove(0)
+        tree.remove(live_handles(tree)[0])
     for i in range(15, 25):
         tree.insert((float(i),), i)
     assert len(tree) == 20
-    assert tree.query_nearest_set((16.1,)) == [11]
-    assert [tree.output(p) for p in range(20)] == list(range(5, 25))
+    assert nearest_outputs(tree, (16.1,)) == [16]
+    assert stored_outputs(tree) == list(range(5, 25))
 
 
 def test_split_skips_removed_points():
@@ -277,15 +303,15 @@ def test_split_skips_removed_points():
     lin = LinearScanIndex(EUCLID)
     tree = VpTreeIndex(EUCLID)
     for idx in (lin, tree):
-        idx.insert((1.0, 2.0))
+        idx.insert((1.0, 2.0), "b")
         for i in range(15):
-            idx.insert((float(i),))
-        idx.remove(0)
+            idx.insert((float(i),), i)
+        idx.remove(live_handles(idx)[0])
         for i in range(5):
-            idx.insert((20.0 + i,))
+            idx.insert((20.0 + i,), 20 + i)
     assert len(tree) == len(lin) == 20
     for x in ((0.4,), (14.6,), (22.2,), (30.0,)):
-        assert tree.query_nearest_set(x) == lin.query_nearest_set(x)
+        assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
 
 
 def test_rebuild_keeps_an_unmeasured_root_leaf():
@@ -295,20 +321,20 @@ def test_rebuild_keeps_an_unmeasured_root_leaf():
     lin = LinearScanIndex(EUCLID)
     tree = VpTreeIndex(EUCLID)
     for idx in (lin, tree):
-        for _ in range(17):
-            idx.insert((0.0,))
-        idx.insert((1.0, 2.0))
+        for i in range(17):
+            idx.insert((0.0,), i)
+        idx.insert((1.0, 2.0), "b")
     stored = len(tree._points)
     for _ in range(40):
         for idx in (lin, tree):
-            idx.insert((0.0,))
-            idx.remove(len(idx) - 1)
+            idx.insert((0.0,), "new")
+            idx.remove(live_handles(idx)[-1])
     assert len(tree._points) < stored + 40
     for idx in (lin, tree):
         with pytest.raises(DimensionMismatchError):
             idx.query_nearest_set((0.0,))
-        idx.remove(17)
-    assert tree.query_nearest_set((0.5,)) == lin.query_nearest_set((0.5,)) == list(range(17))
+        idx.remove(live_handles(idx)[17])
+    assert nearest_outputs(tree, (0.5,)) == nearest_outputs(lin, (0.5,)) == list(range(17))
 
 
 def test_unsplittable_leaf_is_not_resorted_at_every_insert():
@@ -347,7 +373,7 @@ def test_churn_rebuilds_rarely(monkeypatch):
     idx = _filled(VpTreeIndex, EUCLID, [_random_point(rng, 2) for _ in range(1000)])
     for k in range(20_000):
         if k % 2:
-            idx.remove(rng.next_below(len(idx)))
+            idx.remove(live_handles(idx)[rng.next_below(len(idx))])
         else:
             idx.insert(_random_point(rng, 2))
     assert len(idx) == 1000
@@ -402,7 +428,7 @@ def test_tree_distance_calls_are_pinned(tie_tol):
             if op == "insert":
                 idx.insert(point())
             else:
-                idx.remove(rng.next_below(len(idx)))
+                idx.remove(live_handles(idx)[rng.next_below(len(idx))])
             idx.query_nearest_set(point(), tie_tol)
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert (len(calls), digest) == _SESSION_CALLS[tie_tol]

@@ -7,6 +7,7 @@ whether an insert of mixed-dimension points succeeds.
 """
 
 import dataclasses
+import itertools
 from collections import Counter
 
 import pytest
@@ -20,6 +21,8 @@ from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, MetricDescriptor
 from protostream.rng import RandomStream, points_stream_index
 from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
+
+from handles import live_handles, nearest_outputs, stored_outputs
 
 EUCLID = METRICS["euclidean"]
 
@@ -52,7 +55,7 @@ def test_query_evaluates_each_stored_point_at_most_once(tie_tol, lattice):
             if op == "insert":
                 idx.insert(_fresh_point(rng, lattice))
             else:
-                idx.remove(rng.next_below(len(idx)))
+                idx.remove(live_handles(idx)[rng.next_below(len(idx))])
             per_point.clear()
             counting = True
             idx.query_nearest_set(_fresh_point(rng, lattice), tie_tol)
@@ -72,7 +75,7 @@ def test_storage_follows_live_count():
             if op == "insert":
                 idx.insert(_fresh_point(rng, None))
             else:
-                idx.remove(rng.next_below(len(idx)))
+                idx.remove(live_handles(idx)[rng.next_below(len(idx))])
             assert len(idx._points) <= 3 * len(idx) + 1
     assert len(idx) == 5
 
@@ -132,11 +135,11 @@ def test_whole_run_parity_property(seed, q, epsilon, tie_tol, stream, metric, di
                        tail_window=500, series_window=25)
 
 
-# Batches of 1-D or 2-D inserts on a small lattice, batches of removals at
-# one position (taken modulo the live count), and purges of every live point
-# of one dimension: a purge takes the removed points out of their leaves but
-# may leave removed vantage points, and a later batch of the other dimension
-# overflows and splits those leaves.
+# Batches of 1-D or 2-D inserts on a small lattice, batches of removals of
+# the k-th live point (k taken modulo the live count), and purges of every
+# live point of one dimension: a purge takes the removed points out of their
+# leaves but may leave removed vantage points, and a later batch of the
+# other dimension overflows and splits those leaves.
 _OPS = st.lists(st.one_of(
     st.tuples(st.just("insert"), st.integers(1, 2), st.integers(1, 24)),
     st.tuples(st.just("remove"), st.integers(0, 31), st.integers(1, 8)),
@@ -152,12 +155,13 @@ def test_tombstones_never_decide_an_insert(ops):
     # other dimension and raise, which leaves the tree as it was.
     lin = LinearScanIndex(EUCLID)
     tree = VpTreeIndex(EUCLID)
-    live = []  # the points both backends hold, in position order
+    live = []  # the points both backends hold, in insertion order
+    tags = itertools.count()  # each point's output names it
 
-    def remove(pos):
-        lin.remove(pos)
-        tree.remove(pos)
-        del live[pos]
+    def remove(k):
+        lin.remove(k)
+        tree.remove(live_handles(tree)[k])
+        del live[k]
 
     for kind, arg, count in ops:
         if kind == "purge":
@@ -171,41 +175,43 @@ def test_tombstones_never_decide_an_insert(ops):
             for i in range(count):
                 v = (7 * len(live) + 3 * i) % 21
                 point = (float(v),) if arg == 1 else (float(v), float(v % 5))
+                tag = next(tags)
                 if all(len(p) == arg for p in live):
-                    tree.insert(point, len(live))
+                    tree.insert(point, tag)
                 else:
                     try:
-                        tree.insert(point, len(live))
+                        tree.insert(point, tag)
                     except DimensionMismatchError:
                         continue
-                lin.insert(point, len(live))
+                lin.insert(point, tag)
                 live.append(point)
         assert len(tree) == len(lin) == len(live)
-        assert [tree.output(p) for p in range(len(tree))] == \
-               [lin.output(p) for p in range(len(lin))]
+        assert stored_outputs(tree) == stored_outputs(lin)
         dims = {len(p) for p in live}
         if len(dims) == 1:
             one_d = dims == {1}
             for v in (0.2, 6.5, 13.0, 19.9):
                 x = (v,) if one_d else (v, v % 5)
-                assert tree.query_nearest_set(x) == lin.query_nearest_set(x)
+                assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
 
 
-def _assert_leaves_hold_the_live_ids(tree):
-    # Each live id sits in exactly one bucket, the one _node names, or is
-    # the vantage point of the internal node _node names; that node is live
-    # exactly while its vantage point is.  Buckets hold no removed id, and
-    # a removed id that is no vantage point holds no point.
-    live = set(tree._ids)
+def _assert_leaves_hold_the_live_ids(tree, lin):
+    # The tree's live ids, those whose node is live, hold the exemplars the
+    # oracle holds.  Each live id sits in exactly one bucket, the one _node
+    # names, or is the vantage point of the internal node _node names.
+    # Buckets hold no removed id, and a removed id that is no vantage point
+    # holds no point.
+    assert len(tree) == len(lin)
+    assert stored_outputs(tree) == stored_outputs(lin)
+    live = set(live_handles(tree))
     in_bucket = Counter()
     vantages = set()
-    stack = [tree._root] if tree._root is not None else []
+    stack = [tree._root]
     while stack:
         node = stack.pop()
         if node.bucket is None:
             vantages.add(node.vantage)
             assert tree._node[node.vantage] is node
-            assert node.live == (node.vantage in live)
             stack += [node.inner, node.outer]
             continue
         for pid in node.bucket:
@@ -242,19 +248,21 @@ def test_leaves_hold_only_live_ids(seed, dim, lattice, ops):
 
     lin = LinearScanIndex(EUCLID)
     tree = VpTreeIndex(EUCLID)
+    tag = 0  # each point's output names it
     for op, count in ops:
         for _ in range(count):
             if op == "insert":
                 p = point()
-                lin.insert(p)
-                tree.insert(p)
+                lin.insert(p, tag)
+                tree.insert(p, tag)
+                tag += 1
             elif not lin:
                 break
             elif op == "remove":
-                pos = rng.next_below(len(lin))
-                lin.remove(pos)
-                tree.remove(pos)
+                k = rng.next_below(len(lin))
+                lin.remove(k)
+                tree.remove(live_handles(tree)[k])
             else:
                 x = point()
-                assert tree.query_nearest_set(x) == lin.query_nearest_set(x)
-            _assert_leaves_hold_the_live_ids(tree)
+                assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
+            _assert_leaves_hold_the_live_ids(tree, lin)

@@ -10,6 +10,8 @@ from protostream.learner import Action, LearnerConfig, predict, step
 from protostream.metrics import METRICS
 from protostream.rng import RandomStream, learner_stream_index
 
+from handles import stored_outputs
+
 EUCLID = METRICS["euclidean"]
 ABSDIFF = METRICS["absolute_difference"]
 
@@ -116,10 +118,9 @@ def test_step_hit_at_half_always_removes_sampled():
         assert outcome.hit
         assert outcome.action is Action.REMOVE
         assert outcome.size_delta == -1
-        survivor = m.output(0)
-        removed_was = 1.0 if survivor == 1.01 else 1.01
-        expected = 1.0 if outcome.sampled_index == 0 else 1.01
-        assert removed_was == expected
+        # The output distance names the sampled exemplar: 0 for the first.
+        sampled = 1.0 if outcome.output_distance == 0.0 else 1.01
+        assert m.output(0) != sampled and len(m) == 1
 
 
 def test_step_empty_model_forced_insert_consumes_no_draws():
@@ -132,7 +133,6 @@ def test_step_empty_model_forced_insert_consumes_no_draws():
     assert outcome.action is Action.INSERT
     assert not outcome.hit
     assert outcome.output_distance == math.inf
-    assert outcome.sampled_index is None
     assert len(m) == 1
     assert m.output(0) == 2.0
 
@@ -202,12 +202,14 @@ def test_run_stream_index_backend_parity():
     config = LearnerConfig(epsilon=0.3, q=0.75, seed=21)
     rng = RandomStream(98, 1)
     pairs = [((rng.next_unit() * 4.0,), rng.next_unit()) for _ in range(400)]
-    plain = _run(pairs, config)
-    indexed = _run(pairs, config, VpTreeIndex(EUCLID))
-    assert [(o.action, o.sampled_index, o.model_size_after, o.output_distance)
-            for o in plain] == \
-           [(o.action, o.sampled_index, o.model_size_after, o.output_distance)
-            for o in indexed]
+    # Equal output distances at every step, and equal stored outputs at the
+    # end, mean that both backends sampled and removed the same exemplars.
+    lin, tree = LinearScanIndex(EUCLID), VpTreeIndex(EUCLID)
+    plain = _run(pairs, config, lin)
+    indexed = _run(pairs, config, tree)
+    assert [(o.action, o.model_size_after, o.output_distance) for o in plain] == \
+           [(o.action, o.model_size_after, o.output_distance) for o in indexed]
+    assert stored_outputs(tree) == stored_outputs(lin)
 
 
 def test_size_delta_identity_over_run():

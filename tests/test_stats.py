@@ -9,7 +9,6 @@ from protostream.stats import RunReport, WindowStats
 def _outcome(hit, action, size_after, delta):
     dist = 0.0 if hit else math.inf
     return StepOutcome(
-        sampled_index=0 if size_after or delta < 0 else None,
         output_distance=dist,
         hit=hit,
         action=action,
