@@ -368,7 +368,7 @@ def _verify_task(v: dict, kind: str, i: int) -> list:
     base_seed = v["seed"]
     if kind == "branch":
         q = BRANCH_QS[i]
-        freq, _keep_freq = conditional_branch_experiment(q, v["branch_trials"], base_seed + i)
+        freq = conditional_branch_experiment(q, v["branch_trials"], base_seed + i)
         exact = q == 0.5
         return [(f"conditional-branch q={q:g} remove_frequency", freq, 1.0 / q - 1.0,
                  None if exact else BRANCH_TOL),

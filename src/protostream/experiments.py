@@ -111,13 +111,13 @@ def _fixed_model_counts(q: float, y: float, trials: int, seed: int) -> tuple[int
     return removes, inserts
 
 
-def conditional_branch_experiment(q: float, trials: int, seed: int) -> tuple[float, float]:
-    """Empirical (remove, keep) frequencies over forced hit steps.
+def conditional_branch_experiment(q: float, trials: int, seed: int) -> float:
+    """Empirical removal frequency over forced hit steps (the rest keep).
 
     The fixed-model loop's output matches ``_NEAR``'s, so every step hits.
     """
     removes, _ = _fixed_model_counts(q, 0.0, trials, seed)
-    return removes / trials, (trials - removes) / trials
+    return removes / trials
 
 
 def forced_miss_experiment(trials: int, seed: int) -> float:

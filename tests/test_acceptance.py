@@ -1,6 +1,9 @@
 """Acceptance gate: seven full-scale checks, one reported line each.
 
-Tolerances here are fixed. Statistical checks run at the scales the
+Tests 1, 3 and 4 run ``verify``'s own checks at its defaults, through the
+pool ``cmd_verify`` uses, so their q lists, sizes, seeds and tolerances live
+in ``cli`` alone.  Tests 2 and 5-7 use their own seeds and inputs.  Their
+tolerances are fixed, and statistical checks run at the scales the
 tolerances were sized for, so shrinking any trial count invalidates the
 bound printed next to it.
 """
@@ -9,43 +12,25 @@ import math
 import subprocess
 import sys
 import time
-from itertools import product
 
-from protostream.experiments import (
-    conditional_branch_experiment,
-    forced_miss_experiment,
-    growth_identity_experiment,
-    theorem_experiment,
-)
+from protostream import cli
+from protostream.experiments import forced_miss_experiment
 from protostream.index import LinearScanIndex, VpTreeIndex
-from protostream.learner import LearnerConfig
-from protostream.metrics import METRICS, TARGETS
-from protostream.rng import RandomStream, points_stream_index
-from protostream.streams import IidUniform
+from protostream.metrics import METRICS
+from protostream.rng import RandomStream
 
 from handles import live_handles, nearest_outputs
 
-BRANCH_QS = (0.5, 0.6, 0.75, 0.9)
-BRANCH_TRIALS = 100_000
-BRANCH_TOL = 0.01
-HIT_DELTA_TOL = 0.015
+VERIFY_DEFAULTS = cli.parse_config(["verify"]).values
+
 BRANCH_BUDGET_S = 5.0
 
 MISS_TRIALS = 10_000
 MISS_SEEDS = (0, 1, 2)
 MISS_BUDGET_S = 1.0
 
-GROWTH_PS = (0.0, 0.25, 0.5, 0.75, 1.0)
-GROWTH_QS = (0.5, 0.75, 0.9)
-GROWTH_STEPS = 100_000
-GROWTH_TOL = 0.01
 GROWTH_BUDGET_S = 30.0
 
-THEOREM_QS = (0.5, 0.75, 0.9)
-THEOREM_STEPS = 200_000
-THEOREM_TAIL = 50_000
-THEOREM_DELTA_TOL = 0.01
-THEOREM_HIT_TOL = 0.03
 THEOREM_BUDGET_S = 60.0
 
 INDEX_OPS = 10_000
@@ -60,35 +45,29 @@ def _announce(capsys, number, name, ok, detail):
         print(f"[ACCEPTANCE {number}] {name}: {'PASS' if ok else 'FAIL'} ({detail})")
 
 
-def test_acceptance_1_conditional_branch(capsys):
-    failures = []
+def _assert_verify_checks(capsys, number, name, kind, budget_s):
+    """Run verify's experiments of ``kind`` as ``cmd_verify`` does; every check must pass."""
+    tasks = [(VERIFY_DEFAULTS, k, i) for k, i in cli.VERIFY_TASKS if k == kind]
     t0 = time.perf_counter()
-    for i, q in enumerate(BRANCH_QS):
-        remove_freq, keep_freq = conditional_branch_experiment(
-            q, BRANCH_TRIALS, seed=i)
-        expected = 1.0 / q - 1.0
-        hit_delta = -remove_freq
-        if q == 0.5:
-            if remove_freq != 1.0:
-                failures.append(f"q=0.5 remove_freq={remove_freq} not exact")
-            if hit_delta != -1.0:
-                failures.append(f"q=0.5 hit_delta={hit_delta} not exact")
-        else:
-            if abs(remove_freq - expected) > BRANCH_TOL:
-                failures.append(f"q={q} remove_freq={remove_freq:.5f} "
-                                f"vs {expected:.5f}")
-            if abs(hit_delta - (1.0 - 1.0 / q)) > HIT_DELTA_TOL:
-                failures.append(f"q={q} hit_delta={hit_delta:.5f}")
-        if remove_freq + keep_freq != 1.0:
-            failures.append(f"q={q} frequencies do not sum to 1")
+    results = cli._map_tasks(cli._verify_task, tasks, VERIFY_DEFAULTS["jobs"])
     elapsed = time.perf_counter() - t0
-    if elapsed >= BRANCH_BUDGET_S:
-        failures.append(f"took {elapsed:.1f}s, budget {BRANCH_BUDGET_S}s")
+    checks = [check for run_checks in results for check in run_checks]
+    failures = [line for ok, line in (cli._verdict(*check) for check in checks) if not ok]
+    if elapsed >= budget_s:
+        failures.append(f"took {elapsed:.1f}s, budget {budget_s}s")
+    # The largest deviation of a measured value, in units of its tolerance.
+    worst = max((abs(measured - expected) / tol for _name, measured, expected, tol in checks
+                 if tol is not None and measured is not None), default=0.0)
     ok = not failures
-    _announce(capsys, 1, "conditional-branch frequencies", ok,
-              f"{len(BRANCH_QS)} qs x {BRANCH_TRIALS} hits, "
-              f"tol {BRANCH_TOL}/{HIT_DELTA_TOL}, {elapsed:.1f}s")
+    _announce(capsys, number, name, ok,
+              f"{len(tasks)} runs, {len(checks)} checks, worst |dev| {worst:.2f} x tol, "
+              f"{elapsed:.1f}s")
     assert ok, failures
+
+
+def test_acceptance_1_conditional_branch(capsys):
+    _assert_verify_checks(capsys, 1, "conditional-branch frequencies", "branch",
+                          BRANCH_BUDGET_S)
 
 
 def test_acceptance_2_forced_miss_determinism(capsys):
@@ -108,53 +87,12 @@ def test_acceptance_2_forced_miss_determinism(capsys):
 
 
 def test_acceptance_3_growth_identity(capsys):
-    failures = []
-    worst = 0.0
-    t0 = time.perf_counter()
-    for i, (p, q) in enumerate(product(GROWTH_PS, GROWTH_QS)):
-        measured = growth_identity_experiment(p, q, GROWTH_STEPS, seed=100 + i)
-        expected = 1.0 - p / q
-        if p == 0.0 or (p == 1.0 and q == 0.5):
-            if measured != expected:
-                failures.append(f"p={p} q={q}: {measured} not exactly {expected}")
-        else:
-            dev = abs(measured - expected)
-            worst = max(worst, dev)
-            if dev > GROWTH_TOL:
-                failures.append(f"p={p} q={q}: {measured:.5f} vs {expected:.5f}")
-    elapsed = time.perf_counter() - t0
-    if elapsed >= GROWTH_BUDGET_S:
-        failures.append(f"took {elapsed:.1f}s, budget {GROWTH_BUDGET_S}s")
-    ok = not failures
-    _announce(capsys, 3, "growth identity 1 - p/q", ok,
-              f"15 cells x {GROWTH_STEPS} steps, worst dev {worst:.4f}, "
-              f"tol {GROWTH_TOL}, {elapsed:.1f}s")
-    assert ok, failures
+    _assert_verify_checks(capsys, 3, "growth identity 1 - p/q", "growth", GROWTH_BUDGET_S)
 
 
 def test_acceptance_4_stabilization_pins_hit_rate(capsys):
-    target = TARGETS["sine_1d"]
-    metric = METRICS["euclidean"]
-    failures = []
-    details = []
-    for i, q in enumerate(THEOREM_QS):
-        config = LearnerConfig(epsilon=0.05, q=q, seed=200 + i)
-        generator = IidUniform(target.domain, config.seed, points_stream_index(0))
-        t0 = time.perf_counter()
-        report = theorem_experiment(target, metric, config, generator,
-                                    THEOREM_STEPS, tail_window=THEOREM_TAIL)
-        elapsed = time.perf_counter() - t0
-        if abs(report.tail_mean_delta) > THEOREM_DELTA_TOL:
-            failures.append(f"q={q}: tail mean delta {report.tail_mean_delta:.5f}")
-        if abs(report.tail_hit_rate - q) > THEOREM_HIT_TOL:
-            failures.append(f"q={q}: tail hit rate {report.tail_hit_rate:.5f}")
-        if elapsed >= THEOREM_BUDGET_S:
-            failures.append(f"q={q}: took {elapsed:.1f}s, budget {THEOREM_BUDGET_S}s")
-        details.append(f"q={q} hit={report.tail_hit_rate:.3f} "
-                       f"delta={report.tail_mean_delta:+.4f} {elapsed:.1f}s")
-    ok = not failures
-    _announce(capsys, 4, "stability forces hit rate to q", ok, "; ".join(details))
-    assert ok, failures
+    _assert_verify_checks(capsys, 4, "stability forces hit rate to q", "theorem",
+                          THEOREM_BUDGET_S)
 
 
 def _lattice_point(rng, dim, cells):

@@ -187,14 +187,30 @@ def test_run_unwritable_output_exits_three(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stdout", ["full", "broken-pipe", "closed"])
-def test_run_whose_stdout_fails_exits_three(stdout, tmp_path):
-    # The trace is written; the summary lines on stdout are not, so the
-    # outcome is an output error, told in one stderr line.  stdout is
-    # block-buffered, as it is for a user: the lines it could not take stay
-    # in its buffer, and the interpreter's exit flush must not fail again.
-    argv = [sys.executable, "-m", "protostream", "run", "--steps", "10",
-            "--output", str(tmp_path / "t.csv")]
+# Each command at a tiny size; "OUT" stands for a path under tmp_path.
+_TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
+                "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
+_STDOUT_COMMANDS = {
+    "run": ["run", "--steps", "10", "--output", "OUT"],
+    **{f"sweep-jobs{jobs}": ["sweep", "--steps", "10", "--q-list", "0.75,0.9",
+                             "--output", "OUT", "--jobs", jobs] for jobs in ("1", "2")},
+    **{f"verify-jobs{jobs}": _TINY_VERIFY + ["--jobs", jobs] for jobs in ("1", "2")},
+}
+
+
+# The run cases' ids name the stdout alone.
+@pytest.mark.parametrize("command, stdout", [
+    pytest.param(command, stdout, id=("" if command == "run" else f"{command}-") + stdout)
+    for command in _STDOUT_COMMANDS for stdout in ("full", "broken-pipe", "closed")])
+def test_run_whose_stdout_fails_exits_three(command, stdout, tmp_path):
+    # The trace, sweep or verify work is done; the lines on stdout are not
+    # written, so the outcome is an output error, told in one stderr line,
+    # even where a check failed.  stdout is block-buffered, as it is for a
+    # user: the lines it could not take stay in its buffer, and the
+    # interpreter's exit flush must not fail again.
+    argv = [sys.executable, "-m", "protostream",
+            *(str(tmp_path / "out") if arg == "OUT" else arg
+              for arg in _STDOUT_COMMANDS[command])]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if stdout == "full":
         if not os.path.exists("/dev/full"):

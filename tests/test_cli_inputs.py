@@ -1,6 +1,7 @@
 """Invalid inputs end in exit 2 before any output; sweep and verify size their pools."""
 
 import concurrent.futures
+import itertools
 import math
 import os
 import tempfile
@@ -241,7 +242,8 @@ _TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
                 "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
 
 
-@pytest.mark.parametrize("jobs, expected", [("1", []), ("3", [3]), ("23", [23]), ("64", [23])])
+@pytest.mark.parametrize("jobs, expected", [("1", []), ("3", [3]), ("23", [23]),
+                                           ("64", [len(cli.VERIFY_TASKS)])])
 def test_verify_pool_size_and_longest_tasks_first(jobs, expected, recording_pool, capsys):
     assert cli.main(_TINY_VERIFY + ["--jobs", "1"]) in (0, 1)
     in_process = capsys.readouterr().out
@@ -250,9 +252,9 @@ def test_verify_pool_size_and_longest_tasks_first(jobs, expected, recording_pool
     assert recording_pool.created == expected
     if expected:
         [tasks] = recording_pool.submitted
+        assert [(kind, i) for _values, kind, i in tasks] == cli.VERIFY_TASKS
         kinds = [kind for _values, kind, _i in tasks]
-        assert kinds == ["theorem"] * 3 + ["branch"] * 4 + ["growth"] * 15 + ["miss"]
-        assert [i for _values, _kind, i in tasks[:3]] == [0, 1, 2]
+        assert [k for k, _ in itertools.groupby(kinds)] == ["theorem", "branch", "growth", "miss"]
 
 
 def _die(*_task):

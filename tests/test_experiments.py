@@ -37,19 +37,11 @@ EUCLID = METRICS["euclidean"]
 
 
 def test_branch_at_half_removes_every_hit():
-    remove_freq, keep_freq = conditional_branch_experiment(0.5, 2000, seed=1)
-    assert remove_freq == 1.0
-    assert keep_freq == 0.0
-
-
-def test_branch_frequencies_sum_to_one():
-    remove_freq, keep_freq = conditional_branch_experiment(0.8, 5000, seed=2)
-    assert remove_freq + keep_freq == 1.0
+    assert conditional_branch_experiment(0.5, 2000, seed=1) == 1.0
 
 
 def test_branch_tracks_one_over_q_minus_one():
-    remove_freq, _ = conditional_branch_experiment(0.8, 100_000, seed=3)
-    assert abs(remove_freq - 0.25) <= 0.01
+    assert abs(conditional_branch_experiment(0.8, 100_000, seed=3) - 0.25) <= 0.01
 
 
 def test_forced_miss_always_inserts():

@@ -34,16 +34,21 @@ def _fresh_point(rng, lattice):
     return tuple([rng.next_unit() * 10.0 for _ in range(2)])
 
 
-@pytest.mark.parametrize("tie_tol", [0.0, 0.25])
-@pytest.mark.parametrize("lattice", [None, 5])
-def test_query_evaluates_each_stored_point_at_most_once(tie_tol, lattice):
+# The euclidean cases' ids name the lattice and the tolerance alone.  Under
+# discrete every live point ties, so a query visits every node.
+@pytest.mark.parametrize("metric, lattice, tie_tol", [
+    pytest.param(metric, lattice, tie_tol,
+                 id=("" if metric == "euclidean" else f"{metric}-") + f"{lattice}-{tie_tol}")
+    for metric in ("euclidean", "discrete") for lattice in (None, 5) for tie_tol in (0.0, 0.25)])
+def test_query_evaluates_each_stored_point_at_most_once(metric, lattice, tie_tol):
     per_point = Counter()
     counting = False
+    measure = METRICS[metric].distance
 
     def distance(stored, query):
         if counting:
             per_point[id(stored)] += 1
-        return EUCLID.distance(stored, query)
+        return measure(stored, query)
 
     idx = VpTreeIndex(MetricDescriptor("counted", distance))
     rng = RandomStream(909, 0)
