@@ -3,11 +3,13 @@
 Exit codes, all decided in ``main``: 0 success; 1 a verification check
 failed (every line was written); 2 configuration or input error, an
 unreadable config file included; 3 any other OSError, from a trace or
-summary file, a pool that cannot start or loses a worker, or stdout.
+summary file, a trace writer process, a pool that cannot start or loses a
+worker, or stdout.
 
 Every run goes through ``experiments.theorem_experiment``, which also
-writes the trace CSV; the trace format (``TRACE_HEADER``, the writer and
-``read_trace``) lives in ``experiments`` and is re-exported here.
+writes the trace CSV through a forked writer process; the trace format
+(``TRACE_HEADER``, the writer and ``read_trace``) lives in ``experiments``
+and is re-exported here.
 
 ``sweep`` and ``verify`` run their independent experiments through one
 pool helper, ``_map_tasks``: ``--jobs`` worker processes (default: the CPU

@@ -13,23 +13,25 @@ Three layers of evidence, from isolated to end-to-end:
   the package's one driver of learner runs: ``protostream run`` and
   ``sweep`` call it too, with a trace path.
 
-The trace CSV format lives here as well: ``TRACE_HEADER``, the writer in
-theorem_experiment and ``read_trace`` (``cli`` re-exports both names).
-One row per step, floats at 17 significant digits, infinity as the
-literal ``inf``; the window columns reflect the series window after the
-row's step::
+The trace CSV format lives here as well: ``TRACE_HEADER``, the writer
+process behind theorem_experiment and ``read_trace`` (``cli`` re-exports
+both names).  One row per step, floats at 17 significant digits, infinity
+as the literal ``inf``; the window columns reflect the series window after
+the row's step::
 
     n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta
 
-The writer has one path.  ``action`` and ``hit`` come from two tables keyed
-by the step's size delta.  While the series window fills (step ``k < w``),
-the window columns come from the run's own counts over every step so far,
-``hits / k`` and ``model_size / k``.  A ``WindowStats(w)``, built and fed
-at every step of a traced run only, holds the last ``w`` steps; from step
-``w`` on the columns are its ``hits / w`` and ``delta_sum / w``, and their
-text comes from one memo keyed by the integer count, filled on first use:
-the same division and format, so the same bytes, from at most ``2w + 1``
-entries.
+A traced run formats no rows itself.  It forks one writer process
+(``os.fork``, so traced runs need POSIX), which owns the trace file, and
+sends it each step's output distance and size delta, ``_BATCH`` steps to a
+message.  The writer rebuilds every other column from the deltas: the model
+size is their running sum, and only an Insert (+1) misses.  While the series
+window fills (step ``k < w``), the window columns are ``hits / k`` and
+``model_size / k`` over every step so far.  From step ``w`` on they are the
+hit count and the delta sum of the last ``w`` steps divided by ``w``, and
+their text comes from one memo keyed by the integer count, filled on first
+use: the same division and format, so the same bytes, from at most
+``2w + 1`` entries.
 
 A series point needs no window: at every multiple of ``w`` it divides the
 hits and the size change since the previous multiple by ``w``, the same
@@ -38,16 +40,18 @@ integers and the same division as a window over those ``w`` steps.
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 from .errors import ConfigError, ProtostreamError
 from .index import INDEX_KINDS, INDEXES, LinearScanIndex
 from .learner import Action, LearnerConfig, resolve_hit_action, step
 from .metrics import METRICS, MetricDescriptor, TargetFunction
 from .rng import RandomStream, learner_stream_index
-from .stats import RunReport, SeriesPoint, WindowStats
+from .stats import RunReport, SeriesPoint
 from .streams import generate_stream
 
 TRACE_HEADER = "n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta"
@@ -170,10 +174,13 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     ``run_index`` selects the learner substream ``learner_stream_index(run_index)``
     (the generator carries its own).  Stream points are drawn as the run
     steps, so memory follows the live model, not ``steps``; only a traced
-    run holds a window of ``series_window`` steps.  With ``trace_path`` the
-    trace CSV is written there as the run steps; the file is opened only
-    once ``generate_stream`` has returned, so a stream that cannot be
-    generated leaves no file behind.
+    run's writer holds a window of ``series_window`` steps.  With
+    ``trace_path`` the trace CSV is written there by a forked writer process
+    (POSIX only) while the run steps; the file is opened only once
+    ``generate_stream`` has returned, so a stream that cannot be generated
+    leaves no file behind.  The run returns, or raises, only once the writer
+    has written every completed step and exited; a writer's OSError is raised
+    here in its place.
     """
     if index_kind not in INDEXES:
         raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
@@ -193,38 +200,25 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     hits = hits_at_cut = size_at_cut = hits_then = size_then = 0
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
-    # Closing flushes every completed row, even when a step raises.
-    trace = open(trace_path, "w", encoding="utf-8", newline="") if trace_path else nullcontext()
-    with trace as out:
-        if out:
-            out.write(TRACE_HEADER + "\n")
-            window = WindowStats(series_window)
-            # A full window divides its hit count (0..w) and its delta sum
-            # (-w..w) by w, so both columns share one text memo of at most
-            # 2w + 1 entries.
-            window_text = _RatioText(series_window)
-            # The action and hit columns by size delta: Insert (+1) is the
-            # one miss, Remove (-1) and Keep (0) are hits.
-            action_text = {+1: Action.INSERT.value, -1: Action.REMOVE.value, 0: Action.KEEP.value}
-            hit_text = {+1: "0", -1: "1", 0: "1"}
+    # Leaving the block hands the writer every completed step and reaps it,
+    # even when a step raises.
+    trace = (_TraceWriter(open(trace_path, "w", encoding="utf-8", newline=""), series_window)
+             if trace_path else nullcontext())
+    with trace as writer:
+        if writer:
+            record_distance = writer.distances.append
+            record_delta = writer.deltas.append
+            batch = _BATCH
         for k, x in enumerate(points, 1):
             outcome = step(index, x, evaluate(x), output_metric, config, rng)
             hits += outcome.hit
             if k == cut:
                 hits_at_cut, size_at_cut = hits, outcome.model_size_after
-            if out:
-                window.update(outcome)
-                # format_float inlined: 17 significant digits.
-                if k < series_window:
-                    hit_rate = f"{hits / k:.17g}"
-                    mean_delta = f"{outcome.model_size_after / k:.17g}"
-                else:
-                    hit_rate = window_text[window.hits]
-                    mean_delta = window_text[window.delta_sum]
-                delta = outcome.size_delta
-                out.write(f"{k},{action_text[delta]},{outcome.model_size_after},"
-                          f"{outcome.output_distance:.17g},{hit_text[delta]},"
-                          f"{hit_rate},{mean_delta}\n")
+            if writer:
+                record_distance(outcome.output_distance)
+                record_delta(outcome.size_delta)
+                if k % batch == 0:
+                    writer.send()
             if k % series_window == 0:
                 size = outcome.model_size_after
                 series.append(SeriesPoint(k, size, (hits - hits_then) / series_window,
@@ -253,6 +247,178 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
         stabilized=abs(tail_mean_delta) <= stabilization_delta,
         series=series,
     )
+
+
+# Steps per message from a traced run to its writer process.
+_BATCH = 4096
+
+
+class _TraceWriter:
+    """A traced run's end of its forked trace writer.
+
+    The run appends each step's output distance and size delta to
+    ``distances`` and ``deltas``; ``send`` writes them down a pipe as one
+    message (the step count in 4 bytes, the distances, the deltas) and empties
+    them.  The pipe's capacity bounds how far the run gets ahead.  Leaving the
+    ``with`` block sends the rest, closes the pipe, reaps the writer and
+    raises the writer's own OSError if it failed.
+    """
+
+    def __init__(self, out, series_window: int):
+        from array import array  # here: an untraced run never loads it
+
+        self.distances = array("d")
+        self.deltas = array("b")
+        # Set while a message is going out: one cut short by an exception
+        # may be half sent, so no other message may follow it.
+        self._sending = False
+        with out:  # this process writes nothing to it; the writer owns it
+            fds = []
+            try:
+                fds += os.pipe()
+                fds += os.pipe()
+                run_cpu = _current_cpu()
+                pid = os.fork()
+            except BaseException:
+                for fd in fds:
+                    os.close(fd)
+                raise
+            source, self._pipe, self._errors, error_sink = fds
+            if pid == 0:
+                _writer_process(source, error_sink, (self._pipe, self._errors),
+                                out, series_window, run_cpu)
+        os.close(source)
+        os.close(error_sink)
+        self._pid = pid
+
+    def __enter__(self) -> "_TraceWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            if self.deltas and not self._sending:
+                self.send()
+        finally:
+            os.close(self._pipe)
+            self._reap()
+
+    def send(self) -> None:
+        message = memoryview(len(self.deltas).to_bytes(4, "little")
+                             + self.distances.tobytes() + self.deltas.tobytes())
+        self._sending = True
+        try:
+            while message:
+                message = message[os.write(self._pipe, message):]
+        except BrokenPipeError:  # the writer is gone: its own error says why
+            self._reap()
+            raise
+        del self.distances[:], self.deltas[:]
+        self._sending = False
+
+    def _reap(self) -> None:
+        """Wait for the writer once; raise its error if it failed."""
+        pid, self._pid = self._pid, None
+        if pid is None:
+            return
+        _, status = os.waitpid(pid, 0)
+        with open(self._errors, "rb") as errors:
+            message = errors.read().decode()
+        if message:
+            number, _, text = message.partition(" ")
+            raise OSError(int(number), text)
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise OSError(f"the trace writer died (exit code {code})")
+
+
+def _current_cpu() -> Optional[int]:
+    """The CPU this process runs on, from Linux's ``/proc``; else None."""
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            return int(stat.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _writer_process(source: int, error_sink: int, parent_fds, out,
+                    series_window: int, run_cpu: Optional[int]) -> NoReturn:
+    """The forked trace writer: writes every row the run sends, then exits.
+
+    It leaves only through ``os._exit``, so it never returns into the run's
+    stack or flushes the stdio it inherited.  It ignores SIGINT: a Ctrl-C
+    reaches the run too, which sends its completed steps and closes the pipe,
+    and the writer writes them all.  An OSError goes back to the run as
+    ``"<errno> <text>"`` on ``error_sink``.
+    """
+    code = 1
+    try:
+        import signal  # here: a run that is not traced never needs it
+
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A woken pipe reader tends to stay on its waker's CPU, so left alone
+        # the writer would share the run's CPU: keep it on the others.
+        if hasattr(os, "sched_setaffinity"):
+            others = os.sched_getaffinity(0) - {run_cpu}
+            if others:
+                os.sched_setaffinity(0, others)
+        for fd in parent_fds:
+            os.close(fd)
+        with open(source, "rb") as messages, out:
+            out.write(TRACE_HEADER + "\n")
+            for text in _trace_text(messages, series_window):
+                out.write(text)
+        code = 0
+    except OSError as exc:
+        os.write(error_sink, f"{exc.errno or 0} {exc.strerror or exc}".encode())
+    finally:
+        os._exit(code)
+
+
+def _trace_text(messages, series_window: int):
+    """The rows of each message from the run, as one string per message.
+
+    A message cut short (the run was interrupted inside ``send``) ends the
+    trace: its steps are dropped rather than misread.
+    """
+    # A full window divides its hit count (0..w) and its delta sum (-w..w)
+    # by w, so both columns share one text memo of at most 2w + 1 entries.
+    window_text = _RatioText(series_window)
+    # The action and hit columns by size delta: Insert (+1) is the one
+    # miss, Remove (-1) and Keep (0) are hits.
+    action_text = {+1: Action.INSERT.value, -1: Action.REMOVE.value, 0: Action.KEEP.value}
+    hit_text = {+1: "0", -1: "1", 0: "1"}
+    # The deltas of the last series_window steps; until it first fills, the
+    # window's counts are those of every step so far.
+    window: deque = deque()
+    k = size = window_hits = window_sum = 0
+    while len(head := messages.read(4)) == 4:
+        n = int.from_bytes(head, "little")
+        body = messages.read(9 * n)
+        if len(body) < 9 * n:
+            return
+        rows = []
+        append = rows.append
+        view = memoryview(body)
+        for distance, delta in zip(view[:8 * n].cast("d"), view[8 * n:].cast("b")):
+            k += 1
+            size += delta
+            window.append(delta)
+            window_hits += delta != 1
+            window_sum += delta
+            if k > series_window:
+                old = window.popleft()
+                window_hits -= old != 1
+                window_sum -= old
+            # format_float inlined: 17 significant digits.
+            if k < series_window:
+                hit_rate = f"{window_hits / k:.17g}"
+                mean_delta = f"{window_sum / k:.17g}"
+            else:
+                hit_rate = window_text[window_hits]
+                mean_delta = window_text[window_sum]
+            append(f"{k},{action_text[delta]},{size},{distance:.17g},{hit_text[delta]},"
+                   f"{hit_rate},{mean_delta}\n")
+        yield "".join(rows)
 
 
 @dataclass(slots=True)

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from protostream import experiments
 from protostream.cli import TRACE_HEADER, main, parse_config, read_trace
 from protostream.errors import ConfigError
 
@@ -187,6 +188,38 @@ def test_run_unwritable_output_exits_three(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+# 10 steps: the writer fails at its last flush, after the run sent every
+# step.  20000 steps: it fails at its first batch, while the run still sends.
+@pytest.mark.parametrize("steps", ["10", "20000"])
+def test_run_raises_the_trace_writers_own_error(steps, capsys):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    assert main(["run", "--steps", steps, "--output", "/dev/full"]) == 3
+    assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.ENOSPC}] "
+                                       f"{os.strerror(errno.ENOSPC)}\n")
+
+
+# 5000 steps: the writer dies after the run sent its last batch.  20000
+# steps: it dies while the run still sends, which then sees a broken pipe.
+@pytest.mark.parametrize("steps", ["5000", "20000"])
+def test_run_whose_trace_writer_dies_exits_three(steps, monkeypatch, tmp_path, capsys):
+    write_rows = experiments._trace_text
+
+    def die_after_one_batch(messages, series_window):
+        for batch, text in enumerate(write_rows(messages, series_window)):
+            if batch == 1:
+                os._exit(9)
+            yield text
+
+    monkeypatch.setattr(experiments, "_trace_text", die_after_one_batch)
+    assert main(["run", "--steps", steps, "--output", str(tmp_path / "t.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "error: cannot write output: the trace writer died (exit code 9)\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # Each command at a tiny size; "OUT" stands for a path under tmp_path.
 _TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
                 "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
@@ -269,13 +302,16 @@ def test_run_grid_stream_respects_lattice_limit(tmp_path):
 def test_run_does_not_import_the_pool(tmp_path):
     # Only a sweep or verify with more than one worker needs the process
     # pool, and importing it is a large share of the package's import time.
+    # A traced run forks its writer with os.fork alone; 5000 steps cross a
+    # batch boundary.
     trace = str(tmp_path / "t.csv")
-    for code in ("import protostream.cli",
-                 f"from protostream.cli import main; main(['run', '--steps', '10', '--output', {trace!r}])"):
-        probe = f"import sys; {code}; print('concurrent.futures' in sys.modules)"
+    run = "from protostream.cli import main; main(['run', '--steps', {}, '--output', {!r}])"
+    for code in ("import protostream.cli", run.format("'10'", trace), run.format("'5000'", trace)):
+        probe = (f"import sys; {code}; print(sorted(sys.modules.keys() & "
+                 "{'concurrent.futures', 'multiprocessing', 'subprocess'}))")
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                               check=True, timeout=60)
-        assert done.stdout.splitlines()[-1] == "False", code
+        assert done.stdout.splitlines()[-1] == "[]", code
 
 
 def test_discrete_metric_traces_match_across_backends(tmp_path):

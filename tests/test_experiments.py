@@ -10,6 +10,7 @@ mean size change at zero.
 
 import os
 import re
+import signal
 import tempfile
 import tracemalloc
 
@@ -252,25 +253,51 @@ def test_trace_size_is_running_sum_of_deltas(seed, q, epsilon, stream, index_kin
     assert size == report.final_size
 
 
-def test_trace_keeps_every_completed_step_when_a_step_raises(tmp_path):
-    # The file's text layer buffers the rows; a step that raises must not
-    # lose the rows written before it.
-    calls = 0
+def test_trace_keeps_every_completed_step_when_a_step_raises(monkeypatch, tmp_path):
+    # A step that raises must not lose the rows completed before it, nor
+    # leave the writer process unreaped.  Nor must a Ctrl-C, which reaches
+    # the run and its writer process alike: the writer ignores it.
+    writers = []
+    fork = os.fork
 
-    def evaluate(p):
-        nonlocal calls
-        calls += 1
-        if calls == 1500:
-            raise RuntimeError("target failed")
-        return 0.0
+    def fork_and_record():
+        pid = fork()
+        if pid:
+            writers.append(pid)
+        return pid
 
-    target = TargetFunction("failing", evaluate, "absolute_difference", ((0.0, 1.0),))
-    path = str(tmp_path / "trace.csv")
-    with pytest.raises(RuntimeError):
-        theorem_experiment(target, EUCLID, LearnerConfig(epsilon=0.1, q=0.9),
-                           IidUniform(target.domain, 0), 3000,
-                           series_window=1000, trace_path=path)
-    assert [row.n for row in read_trace(path)] == list(range(1, 1500))
+    def target_fails():
+        raise RuntimeError("target failed")
+
+    def ctrl_c():
+        os.kill(writers[-1], signal.SIGINT)
+        signal.raise_signal(signal.SIGINT)
+
+    monkeypatch.setattr(os, "fork", fork_and_record)
+    # The interpreter's own handler, even where SIGINT was ignored at start.
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        for fail, error in ((target_fails, RuntimeError), (ctrl_c, KeyboardInterrupt)):
+            calls = 0
+
+            def evaluate(p):
+                nonlocal calls
+                calls += 1
+                if calls == 1500:
+                    fail()
+                return 0.0
+
+            target = TargetFunction("failing", evaluate, "absolute_difference", ((0.0, 1.0),))
+            path = str(tmp_path / "trace.csv")
+            with pytest.raises(error):
+                theorem_experiment(target, EUCLID, LearnerConfig(epsilon=0.1, q=0.9),
+                                   IidUniform(target.domain, 0), 3000,
+                                   series_window=1000, trace_path=path)
+            assert [row.n for row in read_trace(path)] == list(range(1, 1500)), error
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 @pytest.mark.parametrize("row", [b"1,Insert,1", b"1,Insert,1,inf,0,0.0,1.0,7",
