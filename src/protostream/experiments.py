@@ -25,13 +25,13 @@ A traced run formats no rows itself.  It forks one writer process
 (``os.fork``, so traced runs need POSIX), which owns the trace file, and
 sends it each step's output distance and size delta, ``_BATCH`` steps to a
 message.  The writer rebuilds every other column from the deltas: the model
-size is their running sum, and only an Insert (+1) misses.  While the series
-window fills (step ``k < w``), the window columns are ``hits / k`` and
-``model_size / k`` over every step so far.  From step ``w`` on they are the
-hit count and the delta sum of the last ``w`` steps divided by ``w``, and
-their text comes from one memo keyed by the integer count, filled on first
-use: the same division and format, so the same bytes, from at most
-``2w + 1`` entries.
+size is their running sum, the action is ``ACTION_BY_DELTA``'s, and only an
+Insert (+1) misses.  The window columns are a ``WindowStats`` of the series
+window, fed the deltas.  While it fills (step ``k < w``) they are its rates
+over every step so far; from step ``w`` on, their text comes from one memo
+keyed by the integer hit count or delta sum, filled on first use: the same
+division by ``w`` and format, so the same bytes, from at most ``2w + 1``
+entries.
 
 A series point needs no window: at every multiple of ``w`` it divides the
 hits and the size change since the previous multiple by ``w``, the same
@@ -41,17 +41,16 @@ integers and the same division as a window over those ``w`` steps.
 from __future__ import annotations
 
 import os
-from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
 from .errors import ConfigError, ProtostreamError
 from .index import INDEX_KINDS, INDEXES, LinearScanIndex
-from .learner import Action, LearnerConfig, resolve_hit_action, step
+from .learner import ACTION_BY_DELTA, Action, LearnerConfig, resolve_hit_action, step
 from .metrics import METRICS, MetricDescriptor, TargetFunction
 from .rng import RandomStream, learner_stream_index
-from .stats import RunReport, SeriesPoint
+from .stats import RunReport, SeriesPoint, WindowStats
 from .streams import generate_stream
 
 TRACE_HEADER = "n,action,model_size,output_distance,hit,window_hit_rate,window_mean_delta"
@@ -105,11 +104,11 @@ def _fixed_model_counts(q: float, y: float, trials: int, seed: int) -> tuple[int
     x = (0.1,)
     removes = inserts = 0
     for _ in range(trials):
-        action = step(index, x, y, output_metric, config, rng).action
-        if action is Action.REMOVE:
+        delta = step(index, x, y, output_metric, config, rng).size_delta
+        if delta < 0:
             removes += 1
             index.insert(*_NEAR)
-        elif action is Action.INSERT:
+        elif delta:
             inserts += 1
             index.remove(len(index) - 1)
     return removes, inserts
@@ -197,7 +196,7 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     # less those at cut.  A series point's are those at the previous
     # multiple of series_window.
     cut = max(steps - tail_window, 0)
-    hits = hits_at_cut = size_at_cut = hits_then = size_then = 0
+    hits = size = hits_at_cut = size_at_cut = hits_then = size_then = 0
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
     # Leaving the block hands the writer every completed step and reaps it,
@@ -211,16 +210,17 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
             batch = _BATCH
         for k, x in enumerate(points, 1):
             outcome = step(index, x, evaluate(x), output_metric, config, rng)
-            hits += outcome.hit
+            delta = outcome.size_delta
+            size += delta
+            hits += delta != 1
             if k == cut:
-                hits_at_cut, size_at_cut = hits, outcome.model_size_after
+                hits_at_cut, size_at_cut = hits, size
             if writer:
                 record_distance(outcome.output_distance)
-                record_delta(outcome.size_delta)
+                record_delta(delta)
                 if k % batch == 0:
                     writer.send()
             if k % series_window == 0:
-                size = outcome.model_size_after
                 series.append(SeriesPoint(k, size, (hits - hits_then) / series_window,
                                           (size - size_then) / series_window))
                 hits_then, size_then = hits, size
@@ -383,14 +383,12 @@ def _trace_text(messages, series_window: int):
     # A full window divides its hit count (0..w) and its delta sum (-w..w)
     # by w, so both columns share one text memo of at most 2w + 1 entries.
     window_text = _RatioText(series_window)
-    # The action and hit columns by size delta: Insert (+1) is the one
-    # miss, Remove (-1) and Keep (0) are hits.
-    action_text = {+1: Action.INSERT.value, -1: Action.REMOVE.value, 0: Action.KEEP.value}
+    # The action and hit columns by size delta: Insert (+1) is the one miss.
+    action_text = {delta: action.value for delta, action in ACTION_BY_DELTA.items()}
     hit_text = {+1: "0", -1: "1", 0: "1"}
-    # The deltas of the last series_window steps; until it first fills, the
-    # window's counts are those of every step so far.
-    window: deque = deque()
-    k = size = window_hits = window_sum = 0
+    window = WindowStats(series_window)
+    update = window.update
+    k = size = 0
     while len(head := messages.read(4)) == 4:
         n = int.from_bytes(head, "little")
         body = messages.read(9 * n)
@@ -402,20 +400,14 @@ def _trace_text(messages, series_window: int):
         for distance, delta in zip(view[:8 * n].cast("d"), view[8 * n:].cast("b")):
             k += 1
             size += delta
-            window.append(delta)
-            window_hits += delta != 1
-            window_sum += delta
-            if k > series_window:
-                old = window.popleft()
-                window_hits -= old != 1
-                window_sum -= old
+            update(delta)
             # format_float inlined: 17 significant digits.
             if k < series_window:
-                hit_rate = f"{window_hits / k:.17g}"
-                mean_delta = f"{window_sum / k:.17g}"
+                hit_rate = f"{window.hit_rate:.17g}"
+                mean_delta = f"{window.mean_size_delta:.17g}"
             else:
-                hit_rate = window_text[window_hits]
-                mean_delta = window_text[window_sum]
+                hit_rate = window_text[window.hits]
+                mean_delta = window_text[window.delta_sum]
             append(f"{k},{action_text[delta]},{size},{distance:.17g},{hit_text[delta]},"
                    f"{hit_rate},{mean_delta}\n")
         yield "".join(rows)

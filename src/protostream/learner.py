@@ -11,6 +11,10 @@ kept with probability ``2 - 1/q``.
 A step hands the handle it samples to ``output`` and ``remove``; handles
 ascend in insertion order, so a draw picks the same exemplar on both backends.
 
+Each outcome has its own size change, so a step is recorded by its size
+delta alone: a miss inserts (+1), and a hit removes (-1) or keeps (0).
+``ACTION_BY_DELTA`` is the package's one map from a delta to its action.
+
 Per-step randomness consumption is fixed and part of the reproducibility
 contract: first the tie-break draw(s) of the nearest-set sample, then,
 only on a hit, exactly one unit draw for the removal coin.
@@ -31,6 +35,9 @@ class Action(Enum):
     INSERT = "Insert"
     REMOVE = "Remove"
     KEEP = "Keep"
+
+
+ACTION_BY_DELTA = {+1: Action.INSERT, -1: Action.REMOVE, 0: Action.KEEP}
 
 
 @dataclass(frozen=True)
@@ -65,13 +72,15 @@ class LearnerConfig:
 
 @dataclass(slots=True)
 class StepOutcome:
-    """Full record of one update step."""
+    """One update step: the consulted exemplar's output distance (infinite
+    on an empty model) and the model's size change, which names the action."""
 
     output_distance: float
-    hit: bool
-    action: Action
-    model_size_after: int
     size_delta: int
+
+    @property
+    def action(self) -> Action:
+        return ACTION_BY_DELTA[self.size_delta]
 
 
 def predict(index, x, config: LearnerConfig, rng: RandomStream):
@@ -95,19 +104,18 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
     An empty index forces an insert (infinite output distance, no hit, no
     randomness consumed).
     """
-    n = len(index)
-    if not n:
+    if not len(index):
         index.insert(x, y_true)
-        return StepOutcome(math.inf, False, Action.INSERT, 1, +1)
+        return StepOutcome(math.inf, +1)
 
     sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
     d = output_metric.distance(index.output(sampled), y_true)
 
     if d > config.epsilon:
         index.insert(x, y_true)
-        return StepOutcome(d, False, Action.INSERT, n + 1, +1)
+        return StepOutcome(d, +1)
 
     if resolve_hit_action(config.remove_probability, rng) is Action.REMOVE:
         index.remove(sampled)
-        return StepOutcome(d, True, Action.REMOVE, n - 1, -1)
-    return StepOutcome(d, True, Action.KEEP, n, 0)
+        return StepOutcome(d, -1)
+    return StepOutcome(d, 0)

@@ -1,4 +1,4 @@
-"""The sliding window behind the trace columns, and the per-run report."""
+"""The sliding window behind the trace's window columns, and the per-run report."""
 
 from __future__ import annotations
 
@@ -6,66 +6,49 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .learner import StepOutcome
 
 
 class WindowStats:
-    """Hit-rate and mean size-delta over the last ``window_size`` steps.
+    """Hit count and size-delta sum over the last ``window_size`` steps.
 
-    The trace writer keeps the same two counts over its own window of size
-    deltas for the trace's window columns, and a run's tail estimators and
-    series points come from counts; a window replayed over the trace rows is
-    the tests' reference for all of them.
-    Counters update in O(1) per step.  Over any full or partial window
-    the identity mean_size_delta == miss_fraction - remove_fraction holds
-    exactly, because every miss inserts (+1) and the only -1 is a removal.
-    Each step sits in the window as the one int ``2 * delta + hit``, so
-    ``event & 1`` is the hit and ``event >> 1`` the size delta.  The step
-    index is the caller's own count; the model size is on the ``StepOutcome``.
+    A step is its size delta: a miss inserts (+1), and a hit removes (-1)
+    or keeps (0), so a step hits exactly when its delta is not +1.  The
+    trace writer keeps its window columns here; a run's tail estimators and
+    series points come from counts, and a window replayed over the trace
+    rows is the tests' reference for them.  ``hits`` and ``delta_sum``
+    update in O(1) per step.  Over any full or partial window the identity
+    mean_size_delta == miss_fraction - remove_fraction holds exactly.
     """
 
-    __slots__ = ("window_size", "_events", "_hits", "_delta_sum")
+    __slots__ = ("window_size", "hits", "delta_sum", "_deltas")
 
     def __init__(self, window_size: int):
         if window_size < 1:
             raise ConfigError(f"window size must be at least 1, got {window_size}")
         self.window_size = window_size
-        self._events: deque = deque()
-        self._hits = 0
-        self._delta_sum = 0
+        self._deltas: deque = deque()
+        self.hits = 0
+        self.delta_sum = 0
 
-    def update(self, outcome: StepOutcome) -> "WindowStats":
-        hit = outcome.hit
-        delta = outcome.size_delta
-        events = self._events
-        events.append(2 * delta + hit)
-        self._hits += hit
-        self._delta_sum += delta
-        if len(events) > self.window_size:
-            old = events.popleft()
-            self._hits -= old & 1
-            self._delta_sum -= old >> 1
-        return self
-
-    @property
-    def hits(self) -> int:
-        """Hits among the steps in the window."""
-        return self._hits
-
-    @property
-    def delta_sum(self) -> int:
-        """Sum of the size deltas of the steps in the window, in ``-n..n``."""
-        return self._delta_sum
+    def update(self, delta: int) -> None:
+        deltas = self._deltas
+        deltas.append(delta)
+        self.hits += delta != 1
+        self.delta_sum += delta
+        if len(deltas) > self.window_size:
+            old = deltas.popleft()
+            self.hits -= old != 1
+            self.delta_sum -= old
 
     @property
     def hit_rate(self) -> float:
-        n = len(self._events)
-        return self._hits / n if n else 0.0
+        n = len(self._deltas)
+        return self.hits / n if n else 0.0
 
     @property
     def mean_size_delta(self) -> float:
-        n = len(self._events)
-        return self._delta_sum / n if n else 0.0
+        n = len(self._deltas)
+        return self.delta_sum / n if n else 0.0
 
 
 @dataclass(slots=True)

@@ -37,6 +37,11 @@ SCRIPT = textwrap.dedent("""
     assert code == 0, code
     assert layers["learner.steps"][0] == 200, layers["learner.steps"]
     assert layers["streams.points"][0] == 200, layers["streams.points"]
+    # The tracer counts each step's action; its fractions must be the trace's.
+    rows = cli.read_trace(out)
+    for action in ("Insert", "Remove", "Keep"):
+        frac = layers[f"learner.{action.lower()}_frac"][0]
+        assert frac == sum(row.action == action for row in rows) / 200, (action, frac)
 """)
 
 

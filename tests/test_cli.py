@@ -14,6 +14,8 @@ from protostream import experiments
 from protostream.cli import TRACE_HEADER, main, parse_config, read_trace
 from protostream.errors import ConfigError
 
+from test_cli_inputs import IO_COMMANDS
+
 # reduced scales chosen so the fixed tolerances still hold with margin
 FAST_VERIFY = [
     "verify",
@@ -220,21 +222,10 @@ def test_run_whose_trace_writer_dies_exits_three(steps, monkeypatch, tmp_path, c
         os.waitpid(-1, os.WNOHANG)
 
 
-# Each command at a tiny size; "OUT" stands for a path under tmp_path.
-_TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
-                "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
-_STDOUT_COMMANDS = {
-    "run": ["run", "--steps", "10", "--output", "OUT"],
-    **{f"sweep-jobs{jobs}": ["sweep", "--steps", "10", "--q-list", "0.75,0.9",
-                             "--output", "OUT", "--jobs", jobs] for jobs in ("1", "2")},
-    **{f"verify-jobs{jobs}": _TINY_VERIFY + ["--jobs", jobs] for jobs in ("1", "2")},
-}
-
-
 # The run cases' ids name the stdout alone.
 @pytest.mark.parametrize("command, stdout", [
     pytest.param(command, stdout, id=("" if command == "run" else f"{command}-") + stdout)
-    for command in _STDOUT_COMMANDS for stdout in ("full", "broken-pipe", "closed")])
+    for command in IO_COMMANDS for stdout in ("full", "broken-pipe", "closed")])
 def test_run_whose_stdout_fails_exits_three(command, stdout, tmp_path):
     # The trace, sweep or verify work is done; the lines on stdout are not
     # written, so the outcome is an output error, told in one stderr line,
@@ -243,7 +234,7 @@ def test_run_whose_stdout_fails_exits_three(command, stdout, tmp_path):
     # interpreter's exit flush must not fail again.
     argv = [sys.executable, "-m", "protostream",
             *(str(tmp_path / "out") if arg == "OUT" else arg
-              for arg in _STDOUT_COMMANDS[command])]
+              for arg in IO_COMMANDS[command])]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if stdout == "full":
         if not os.path.exists("/dev/full"):

@@ -1,9 +1,15 @@
-"""Invalid inputs end in exit 2 before any output; sweep and verify size their pools."""
+"""Invalid inputs end in exit 2 before any output; sweep and verify size their pools.
+
+Whatever stdout and stderr turn out to be, every command ends in a defined exit code.
+"""
 
 import concurrent.futures
 import itertools
 import math
 import os
+import shlex
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -401,3 +407,48 @@ def test_huge_grid_resolution_is_refused_before_any_allocation(tmp_path, capsys)
     assert "more than the 1000000 allowed" in capsys.readouterr().err
     assert peak < 2**20
     assert not out.exists()
+
+
+# Each command at a tiny size, also for test_cli's stdout tests; "OUT" stands
+# for a path under tmp_path.
+_TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
+                "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
+IO_COMMANDS = {
+    "run": ["run", "--steps", "10", "--output", "OUT"],
+    **{f"sweep-jobs{jobs}": ["sweep", "--steps", "10", "--q-list", "0.75,0.9",
+                             "--output", "OUT", "--jobs", jobs] for jobs in ("1", "2")},
+    **{f"verify-jobs{jobs}": _TINY_VERIFY + ["--jobs", jobs] for jobs in ("1", "2")},
+}
+
+
+@pytest.mark.parametrize("stdout", ["writable", "full", "closed", "broken-pipe"])
+@pytest.mark.parametrize("command", sorted(IO_COMMANDS))
+def test_any_stdout_and_stderr_end_in_a_defined_exit_code(command, stdout, tmp_path):
+    # Under every stderr ({writable, /dev/full, closed}) the exit code is the
+    # same, 0-3: 3 when stdout fails, the command's own code otherwise.  A
+    # writable stderr gets at most one line and never a traceback.
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    codes = []
+    for k, stderr in enumerate(("writable", "full", "closed")):
+        out = str(tmp_path / f"out{k}")
+        argv = [sys.executable, "-m", "protostream",
+                *(out if arg == "OUT" else arg for arg in IO_COMMANDS[command])]
+        shell = shlex.join(argv) + {"full": " >/dev/full", "closed": " >&-"}.get(stdout, "")
+        shell += {"full": " 2>/dev/full", "closed": " 2>&-"}.get(stderr, "")
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe fails with EPIPE
+        try:
+            done = subprocess.run(
+                shell, shell=True, env=env, timeout=60,
+                stdout=write_end if stdout == "broken-pipe" else subprocess.PIPE,
+                stderr=subprocess.PIPE if stderr == "writable" else None)
+        finally:
+            os.close(write_end)
+        codes.append(done.returncode)
+        if stderr == "writable":
+            err = done.stderr.decode(errors="replace")
+            assert "Traceback" not in err and len(err.splitlines()) <= 1, err
+    assert codes[0] in (0, 1, 2, 3)
+    assert codes == [3 if stdout != "writable" else codes[0]] * 3, codes

@@ -28,7 +28,7 @@ from protostream.experiments import (
     theorem_experiment,
 )
 from protostream.index import INDEX_KINDS
-from protostream.learner import Action, LearnerConfig, StepOutcome
+from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, TargetFunction
 from protostream.rng import points_stream_index
 from protostream.stats import SeriesPoint, WindowStats
@@ -131,8 +131,7 @@ def test_tail_estimators_equal_a_window_over_the_trace(tail_window, tmp_path):
                                 series_window=50, trace_path=path)
     tail = WindowStats(tail_window)
     for row in read_trace(path):
-        tail.update(StepOutcome(row.output_distance, row.hit, Action(row.action),
-                                row.model_size, _DELTA[row.action]))
+        tail.update(_DELTA[row.action])
     assert report.tail_hit_rate == tail.hit_rate
     assert report.tail_mean_delta == tail.mean_size_delta
     assert report.stabilized == (abs(tail.mean_size_delta) <= report.stabilization_delta)
@@ -155,8 +154,7 @@ def test_series_points_equal_a_window_over_the_trace(series_window, tmp_path):
     window = WindowStats(series_window)
     expected = []
     for row in read_trace(path):
-        window.update(StepOutcome(row.output_distance, row.hit, Action(row.action),
-                                  row.model_size, _DELTA[row.action]))
+        window.update(_DELTA[row.action])
         if row.n % series_window == 0:
             expected.append(SeriesPoint(row.n, row.model_size, window.hit_rate,
                                         window.mean_size_delta))

@@ -15,7 +15,8 @@ from protostream.experiments import theorem_experiment
 from protostream.index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
 from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, MetricDescriptor
-from protostream.rng import RandomStream
+from protostream.rng import RandomStream, points_stream_index
+from protostream.streams import IidUniform
 
 from handles import live_handles, nearest_outputs, stored_outputs
 
@@ -354,6 +355,28 @@ def test_unsplittable_leaf_is_not_resorted_at_every_insert():
         idx.insert((float(i),))
     assert calls <= 10 * 2000
     assert idx.query_nearest_set((1999.0,)) == [1999]
+
+
+def test_discrete_run_costs_the_tree_no_more_than_a_linear_scan():
+    # Under the discrete metric every live point ties with every other, so
+    # both backends measure every live point at every query.  The tree may
+    # add its vantage and split measurements, within 1% of the scan's.
+    target = TARGETS["sine_1d"]
+    base = METRICS["discrete"].distance
+    calls = {}
+    for kind in ("vptree", "linear"):
+        calls[kind] = 0
+
+        def counting(a, b, kind=kind):
+            calls[kind] += 1
+            return base(a, b)
+
+        theorem_experiment(target, MetricDescriptor("counted", counting),
+                           LearnerConfig(epsilon=0.05, q=0.9, seed=0),
+                           IidUniform(target.domain, 0, points_stream_index(0)), 2000,
+                           tail_window=1000, index_kind=kind)
+    assert calls["linear"] > 1_000_000
+    assert calls["vptree"] <= 1.01 * calls["linear"]
 
 
 def test_churn_rebuilds_rarely(monkeypatch):

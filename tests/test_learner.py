@@ -1,5 +1,6 @@
 """Core update rule: hit/miss branches, removal coin, trace invariants."""
 
+import itertools
 import math
 
 import pytest
@@ -101,9 +102,8 @@ def test_step_miss_inserts_observed_pair():
     config = LearnerConfig(epsilon=0.5, q=0.75)
     outcome = step(m, (0.2,), 9.0, ABSDIFF, config, RandomStream(1, 0))
     assert outcome.action is Action.INSERT
-    assert not outcome.hit
     assert outcome.size_delta == 1
-    assert outcome.model_size_after == 2
+    assert len(m) == 2
     assert m.query_nearest_set((0.2,)) == [1]
     assert m.output(1) == 9.0
 
@@ -115,7 +115,6 @@ def test_step_hit_at_half_always_removes_sampled():
         # two exemplars tied at the query; outputs distinguish them
         m = _model(((0.0,), 1.0), ((0.0,), 1.01))
         outcome = step(m, (0.0,), 1.0, ABSDIFF, config, rng)
-        assert outcome.hit
         assert outcome.action is Action.REMOVE
         assert outcome.size_delta == -1
         # The output distance names the sampled exemplar: 0 for the first.
@@ -131,7 +130,7 @@ def test_step_empty_model_forced_insert_consumes_no_draws():
     outcome = step(m, (1.0,), 2.0, ABSDIFF, config, rng)
     assert rng.state == before
     assert outcome.action is Action.INSERT
-    assert not outcome.hit
+    assert outcome.size_delta == 1
     assert outcome.output_distance == math.inf
     assert len(m) == 1
     assert m.output(0) == 2.0
@@ -174,19 +173,18 @@ def test_run_stream_degenerate_regime_pinned_trace():
     assert [o.action for o in outcomes] == [
         Action.INSERT, Action.REMOVE, Action.INSERT, Action.REMOVE, Action.INSERT,
     ]
-    assert [o.model_size_after for o in outcomes] == [1, 0, 1, 0, 1]
+    assert list(itertools.accumulate(o.size_delta for o in outcomes)) == [1, 0, 1, 0, 1]
     assert outcomes[0].output_distance == math.inf
     assert outcomes[2].output_distance == math.inf
-    assert not outcomes[0].hit
-    assert outcomes[1].hit
 
 
 def test_run_stream_single_element():
     config = LearnerConfig(epsilon=1.0, q=0.75, seed=0)
-    outcomes = _run([((0.5,), 1.0)], config)
+    index = LinearScanIndex(EUCLID)
+    outcomes = _run([((0.5,), 1.0)], config, index)
     assert len(outcomes) == 1
     assert outcomes[0].action is Action.INSERT
-    assert outcomes[0].model_size_after == 1
+    assert len(index) == 1
 
 
 def test_run_stream_same_seed_reproduces():
@@ -207,8 +205,7 @@ def test_run_stream_index_backend_parity():
     lin, tree = LinearScanIndex(EUCLID), VpTreeIndex(EUCLID)
     plain = _run(pairs, config, lin)
     indexed = _run(pairs, config, tree)
-    assert [(o.action, o.model_size_after, o.output_distance) for o in plain] == \
-           [(o.action, o.model_size_after, o.output_distance) for o in indexed]
+    assert plain == indexed
     assert stored_outputs(tree) == stored_outputs(lin)
 
 
@@ -216,9 +213,10 @@ def test_size_delta_identity_over_run():
     config = LearnerConfig(epsilon=0.2, q=0.75, seed=31)
     rng = RandomStream(97, 1)
     pairs = [((rng.next_unit(),), rng.next_unit()) for _ in range(1000)]
-    outcomes = _run(pairs, config)
-    miss_fraction = sum(1 for o in outcomes if not o.hit) / len(outcomes)
+    index = LinearScanIndex(EUCLID)
+    outcomes = _run(pairs, config, index)
+    miss_fraction = sum(1 for o in outcomes if o.action is Action.INSERT) / len(outcomes)
     remove_fraction = sum(1 for o in outcomes if o.action is Action.REMOVE) / len(outcomes)
     mean_delta = sum(o.size_delta for o in outcomes) / len(outcomes)
     assert mean_delta == pytest.approx(miss_fraction - remove_fraction, abs=0.0)
-    assert outcomes[-1].model_size_after == sum(o.size_delta for o in outcomes)
+    assert len(index) == sum(o.size_delta for o in outcomes)

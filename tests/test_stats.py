@@ -1,78 +1,58 @@
-"""Sliding-window statistics over step outcomes."""
+"""Sliding-window statistics over step size deltas."""
 
-import math
-
-from protostream.learner import Action, StepOutcome
 from protostream.stats import RunReport, WindowStats
 
-
-def _outcome(hit, action, size_after, delta):
-    dist = 0.0 if hit else math.inf
-    return StepOutcome(
-        output_distance=dist,
-        hit=hit,
-        action=action,
-        model_size_after=size_after,
-        size_delta=delta,
-    )
+# A step is its size delta: a miss inserts, a hit removes or keeps.
+INSERT, REMOVE, KEEP = +1, -1, 0
 
 
 def test_all_misses_window():
     stats = WindowStats(window_size=10)
-    for n in range(1, 6):
-        stats.update(_outcome(False, Action.INSERT, n, 1))
+    for _ in range(5):
+        stats.update(INSERT)
     assert stats.hit_rate == 0.0
     assert stats.mean_size_delta == 1.0
+    assert (stats.hits, stats.delta_sum) == (0, 5)
 
 
 def test_all_hits_all_removes_window():
     stats = WindowStats(window_size=10)
-    size = 100
     for _ in range(7):
-        size -= 1
-        stats.update(_outcome(True, Action.REMOVE, size, -1))
+        stats.update(REMOVE)
     assert stats.hit_rate == 1.0
     assert stats.mean_size_delta == -1.0
+    assert (stats.hits, stats.delta_sum) == (7, -7)
 
 
 def test_window_evicts_old_entries():
     stats = WindowStats(window_size=4)
     # four misses then four hit-keeps: the window must forget the misses
-    for n in range(1, 5):
-        stats.update(_outcome(False, Action.INSERT, n, 1))
     for _ in range(4):
-        stats.update(_outcome(True, Action.KEEP, 4, 0))
+        stats.update(INSERT)
+    for _ in range(4):
+        stats.update(KEEP)
     assert stats.hit_rate == 1.0
     assert stats.mean_size_delta == 0.0
+    assert (stats.hits, stats.delta_sum) == (4, 0)
 
 
 def test_partial_window_mixture():
     stats = WindowStats(window_size=100)
-    stats.update(_outcome(False, Action.INSERT, 1, 1))
-    stats.update(_outcome(True, Action.KEEP, 1, 0))
-    stats.update(_outcome(True, Action.REMOVE, 0, -1))
+    stats.update(INSERT)
+    stats.update(KEEP)
+    stats.update(REMOVE)
     assert stats.hit_rate == 2.0 / 3.0
     assert stats.mean_size_delta == 0.0
 
 
 def test_mean_delta_equals_miss_minus_remove_fraction():
     stats = WindowStats(window_size=1000)
-    actions = [Action.INSERT, Action.KEEP, Action.REMOVE, Action.INSERT,
-               Action.KEEP, Action.KEEP, Action.REMOVE, Action.INSERT]
-    size = 10
-    for action in actions:
-        delta = 1 if action is Action.INSERT else (-1 if action is Action.REMOVE else 0)
-        size += delta
-        stats.update(_outcome(action is not Action.INSERT, action, size, delta))
-    misses = sum(1 for a in actions if a is Action.INSERT)
-    removes = sum(1 for a in actions if a is Action.REMOVE)
-    assert stats.mean_size_delta == (misses - removes) / len(actions)
-
-
-def test_update_returns_stats_for_chaining():
-    stats = WindowStats(window_size=3)
-    out = stats.update(_outcome(False, Action.INSERT, 1, 1))
-    assert out is stats
+    deltas = [INSERT, KEEP, REMOVE, INSERT, KEEP, KEEP, REMOVE, INSERT]
+    for delta in deltas:
+        stats.update(delta)
+    misses = deltas.count(INSERT)
+    removes = deltas.count(REMOVE)
+    assert stats.mean_size_delta == (misses - removes) / len(deltas)
 
 
 def test_empty_window_reports_zero():
