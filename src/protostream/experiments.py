@@ -47,7 +47,7 @@ from typing import NoReturn, Optional
 
 from .errors import ConfigError, ProtostreamError
 from .index import INDEX_KINDS, INDEXES, LinearScanIndex
-from .learner import ACTION_BY_DELTA, Action, LearnerConfig, resolve_hit_action, step
+from .learner import ACTION_BY_DELTA, Action, LearnerConfig, step
 from .metrics import METRICS, MetricDescriptor, TargetFunction
 from .rng import RandomStream, learner_stream_index
 from .stats import RunReport, SeriesPoint, WindowStats
@@ -139,7 +139,8 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
 
     Converges to 1 - hit_probability / q.  The model is abstracted to a
     size counter that starts above ``steps`` so it can never empty and
-    the hit coin applies at every step; the removal coin is the real one.
+    the hit coin applies at every step; the removal coin is ``step``'s own
+    comparison, ``next_unit() < 1/q - 1``.
     ``removal_probability`` replaces the coin's 1/q - 1, to check that a
     wrong coin fails the identity.
     """
@@ -155,7 +156,7 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
     delta_total = 0
     for _ in range(steps):
         if next_unit() < hit_probability:
-            if resolve_hit_action(removal_probability, rng) is Action.REMOVE:
+            if next_unit() < removal_probability:
                 delta_total -= 1
         else:
             delta_total += 1

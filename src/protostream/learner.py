@@ -17,7 +17,9 @@ delta alone: a miss inserts (+1), and a hit removes (-1) or keeps (0).
 
 Per-step randomness consumption is fixed and part of the reproducibility
 contract: first the tie-break draw(s) of the nearest-set sample, then,
-only on a hit, exactly one unit draw for the removal coin.
+only on a hit, exactly one unit draw for the removal coin.  ``step``
+takes both inline, with the draws of ``sample_uniform`` and of the coin
+``next_unit() < remove_probability``; an empty model draws nothing.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import ConfigError
 from .metrics import MetricDescriptor
@@ -64,7 +67,7 @@ class LearnerConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
 
-    @property
+    @cached_property
     def remove_probability(self) -> float:
         """Chance that a hit removes the consulted exemplar: 1/q - 1."""
         return 1.0 / self.q - 1.0
@@ -92,11 +95,6 @@ def predict(index, x, config: LearnerConfig, rng: RandomStream):
     return index.output(sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng))
 
 
-def resolve_hit_action(remove_probability: float, rng: RandomStream) -> Action:
-    """The post-hit coin: Remove with the given probability (1/q - 1), else Keep."""
-    return Action.REMOVE if rng.next_unit() < remove_probability else Action.KEEP
-
-
 def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfig,
          rng: RandomStream) -> StepOutcome:
     """Apply one observation (x, y_true) to the exemplars held by ``index``.
@@ -108,14 +106,19 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
         index.insert(x, y_true)
         return StepOutcome(math.inf, +1)
 
-    sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
+    nearest = index.query_nearest_set(x, config.tie_tolerance)
+    if len(nearest) == 1:
+        rng.next_u64()  # the one draw sample_uniform takes for one candidate
+        sampled = nearest[0]
+    else:
+        sampled = nearest[rng.next_below(len(nearest))]
     d = output_metric.distance(index.output(sampled), y_true)
 
     if d > config.epsilon:
         index.insert(x, y_true)
         return StepOutcome(d, +1)
 
-    if resolve_hit_action(config.remove_probability, rng) is Action.REMOVE:
+    if rng.next_unit() < config.remove_probability:
         index.remove(sampled)
         return StepOutcome(d, -1)
     return StepOutcome(d, 0)

@@ -30,6 +30,8 @@ at a time with ``_mix``, which the tests keep as the reference.
 from __future__ import annotations
 
 import sys
+from itertools import repeat, starmap
+from operator import mul, rshift
 
 from .errors import ConfigError, EmptyCandidatesError
 
@@ -81,10 +83,13 @@ class RandomStream:
 
     * ``next_u64``   -- exactly one draw.
     * ``next_unit``  -- exactly one draw (top 53 bits over 2**53).
+    * ``next_units`` -- ``n`` draws for ``n`` units, each one ``next_u64``
+      call, equal to ``n`` calls of ``next_unit``.
     * ``next_below`` -- one draw, plus one more per rejection; a draw is
       rejected only when it lands in the final partial block of size
       ``2**64 % m``, so for small ``m`` the non-rejecting case is all
-      but certain and consumes exactly one draw.
+      but certain and consumes exactly one draw.  An ``m`` outside
+      [1, 2**64] raises ConfigError and draws nothing.
     """
 
     __slots__ = ("_end", "_block")
@@ -126,10 +131,16 @@ class RandomStream:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * _UNIT
 
+    def next_units(self, n: int) -> list:
+        """``n`` floats of ``next_unit``, their arithmetic done in C."""
+        return list(map(mul, map(rshift, starmap(self.next_u64, repeat((), n)), repeat(11)),
+                        repeat(_UNIT)))
+
     def next_below(self, m: int) -> int:
         """Uniform integer in [0, m) via rejection; no modulo bias."""
-        if m <= 0:
-            raise ConfigError(f"upper bound must be positive, got {m}")
+        if not 0 < m <= 1 << 64:
+            # Above 2**64 no 64-bit draw could be accepted.
+            raise ConfigError(f"upper bound must lie in [1, 2**64], got {m}")
         # Accept u < limit where limit is the largest multiple of m <= 2**64.
         limit = ((1 << 64) // m) * m
         u = self.next_u64()

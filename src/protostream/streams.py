@@ -10,16 +10,19 @@ Every generator has a ``size``, the most points it can emit (``math.inf``
 for IidUniform and RandomWalk, the lattice size for GridSweep), and a
 ``points(length)`` iterator.  ``generate_stream`` checks the length
 against the size once (``check_length``) and returns a ``StreamView``:
-each point is drawn only when an iteration reaches it, and every
-iteration replays the same points from ``(seed, stream)``.
+an iteration draws its points as it goes, and every iteration replays
+the same points from ``(seed, stream)``.  IidUniform draws ahead by at
+most ``_CHUNK`` (256) points, whose coordinates it computes at once;
+RandomWalk draws each point when the iteration reaches it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import product, repeat
+from operator import add, mul
 
 from .errors import ConfigError
 from .rng import RandomStream
@@ -44,9 +47,17 @@ def _check_source(generator) -> None:
                               f"width, got ({lo}, {hi})")
 
 
+# The points an IidUniform draws at once.
+_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class IidUniform:
-    """Independent uniform draws from a box."""
+    """Independent uniform draws from a box.
+
+    Coordinate ``j`` of point ``i`` is ``lo_j + u * (hi_j - lo_j)`` for the
+    stream's unit draw number ``i * d + j``, in ``d`` dimensions.
+    """
 
     bounds: Bounds
     seed: int
@@ -57,10 +68,16 @@ class IidUniform:
         _check_source(self)
 
     def points(self, length: int) -> Iterator[tuple]:
-        unit = RandomStream(self.seed, self.stream).next_unit
+        units = RandomStream(self.seed, self.stream).next_units
         boxes = [(lo, hi - lo) for lo, hi in self.bounds]
-        for _ in range(length):
-            yield tuple([lo + unit() * width for lo, width in boxes])
+        d = len(boxes)
+        while length > 0:
+            n = min(_CHUNK, length)
+            length -= n
+            u = units(n * d)
+            # Column j holds coordinate j of the chunk's points.
+            yield from zip(*[map(add, repeat(lo), map(mul, u[j::d], repeat(width)))
+                             for j, (lo, width) in enumerate(boxes)])
 
 
 # The most lattice points a GridSweep may hold: its whole lattice is built
@@ -111,7 +128,7 @@ class GridSweep:
             else:
                 step = (hi - lo) / (self.resolution - 1)
                 axes.append([lo + i * step for i in range(self.resolution)])
-        lattice = list(itertools.product(*axes))
+        lattice = list(product(*axes))
         rng = RandomStream(self.seed, self.stream)
         # Fisher-Yates; full shuffle regardless of requested prefix length.
         for i in range(len(lattice) - 1, 0, -1):

@@ -279,6 +279,41 @@ def test_dead_pool_worker_is_an_output_error(monkeypatch, capsys):
     assert line.startswith("error: cannot write output: a worker process died"), line
 
 
+# A fresh interpreter whose verify loses one pool worker mid-run; it exits
+# with main's code once it has checked that no child process is left.
+_DYING_VERIFY = """
+import multiprocessing, os, sys
+from protostream import cli
+
+verify_task = cli._verify_task
+
+def dying_task(v, kind, i):
+    if (kind, i) == ("growth", 0):
+        os._exit(9)
+    return verify_task(v, kind, i)
+
+cli._verify_task = dying_task
+code = cli.main(sys.argv[1:])
+assert not multiprocessing.active_children(), multiprocessing.active_children()
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise AssertionError("a child process is left")
+sys.exit(code)
+"""
+
+
+def test_dead_pool_worker_in_a_fresh_interpreter(tmp_path):
+    done = subprocess.run([sys.executable, "-c", _DYING_VERIFY, *_TINY_VERIFY, "--jobs", "2"],
+                          capture_output=True, text=True, timeout=120, cwd=tmp_path)
+    assert done.returncode == 3, done.stderr
+    [line] = done.stderr.splitlines()
+    assert line.startswith("error: cannot write output: a worker process died"), line
+    assert "Traceback" not in done.stdout + done.stderr
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", str(-2**63)])
 def test_verify_rejects_nonpositive_jobs(jobs, capsys):
     assert cli.main(_TINY_VERIFY + ["--jobs", jobs]) == 2

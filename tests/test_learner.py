@@ -6,12 +6,12 @@ import math
 import pytest
 
 from protostream.errors import ConfigError, EmptyModelError
-from protostream.index import LinearScanIndex, VpTreeIndex
+from protostream.index import INDEX_KINDS, INDEXES, LinearScanIndex, VpTreeIndex
 from protostream.learner import Action, LearnerConfig, predict, step
 from protostream.metrics import METRICS
 from protostream.rng import RandomStream, learner_stream_index
 
-from handles import stored_outputs
+from handles import nearest_outputs, stored_outputs
 
 EUCLID = METRICS["euclidean"]
 ABSDIFF = METRICS["absolute_difference"]
@@ -149,6 +149,54 @@ def test_step_hit_keep_leaves_model_alone():
             assert len(m) == 1
             assert outcome.size_delta == 0
     assert kept > 270
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_step_draws_per_outcome(kind):
+    # A step's draws, against a reference stream advanced by hand: none on
+    # an empty model, the sample's one on a miss, the sample's and the
+    # coin's on a Keep or a Remove.
+    config = LearnerConfig(epsilon=0.5, q=0.75)
+    index = INDEXES[kind](EUCLID)
+    rng, ref = RandomStream(6, 0), RandomStream(6, 0)
+    assert step(index, (0.0,), 0.0, ABSDIFF, config, rng).action is Action.INSERT
+    assert rng.state == ref.state
+    assert step(index, (1.0,), 9.0, ABSDIFF, config, rng).action is Action.INSERT
+    ref.next_u64()
+    assert rng.state == ref.state
+    seen = set()
+    for _ in range(40):
+        outcome = step(index, (0.1,), 0.0, ABSDIFF, config, rng)
+        ref.next_u64()
+        removes = ref.next_unit() < config.remove_probability
+        assert outcome.action is (Action.REMOVE if removes else Action.KEEP)
+        assert rng.state == ref.state
+        seen.add(outcome.action)
+        if removes:
+            index.insert((0.0,), 0.0)
+    assert seen == {Action.KEEP, Action.REMOVE}
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_step_tie_draws_one_sample_and_the_coin(kind):
+    # Three exemplars tie at the query and every one is a hit: the sample is
+    # one next_below(3) draw, then the coin takes one more.
+    config = LearnerConfig(epsilon=0.5, q=0.75)
+    rng, ref = RandomStream(7, 0), RandomStream(7, 0)
+    picked = set()
+    for _ in range(40):
+        index = INDEXES[kind](EUCLID)
+        for y in (0.0, 0.1, 0.2):
+            index.insert((0.0,), y)
+        outputs = nearest_outputs(index, (0.0,))
+        outcome = step(index, (0.0,), 0.0, ABSDIFF, config, rng)
+        j = ref.next_below(3)
+        removes = ref.next_unit() < config.remove_probability
+        assert outcome.output_distance == ABSDIFF.distance(outputs[j], 0.0)
+        assert outcome.action is (Action.REMOVE if removes else Action.KEEP)
+        assert rng.state == ref.state
+        picked.add(j)
+    assert picked == {0, 1, 2}
 
 
 def test_forced_hits_remove_frequency_tracks_q():

@@ -98,6 +98,28 @@ def test_next_below_rejects_nonpositive():
         rng.next_below(0)
 
 
+def test_next_below_rejects_bounds_above_two_to_the_64():
+    # No 64-bit draw lies below 2**64 // m * m = 0, so the loop would never end.
+    rng = RandomStream(0, 0)
+    assert 0 <= rng.next_below(2**64) < 2**64
+    before = rng.state
+    with pytest.raises(ConfigError, match="2\\*\\*64"):
+        rng.next_below(2**64 + 1)
+    assert rng.state == before
+
+
+def test_next_units_equal_as_many_next_unit_calls():
+    # From mid-block, across the next block boundary.
+    rng, ref = RandomStream(8, 3), RandomStream(8, 3)
+    for _ in range(100):
+        rng.next_u64()
+        ref.next_u64()
+    assert rng.next_units(300) == [ref.next_unit() for _ in range(300)]
+    assert rng.state == ref.state
+    assert rng.next_units(0) == []
+    assert rng.state == ref.state
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ConfigError):
         RandomStream(-1, 0)

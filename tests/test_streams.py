@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from protostream.errors import ConfigError
+from protostream.rng import RandomStream
 from protostream.streams import (
     MAX_GRID_POINTS, GridSweep, IidUniform, RandomWalk, generate_stream,
 )
@@ -178,6 +179,19 @@ def test_lazy_stream_draws_on_demand():
     points = iter(view)
     head = [next(points) for _ in range(3)]
     assert head == list(generate_stream(IidUniform(UNIT, seed=0), 3))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("length", [1, 255, 256, 257, 513])
+def test_iid_uniform_chunks_match_one_point_at_a_time(dim, length):
+    # The points are drawn 256 at a time; coordinate j of point i must still
+    # be unit draw i * dim + j, scaled as lo + u * (hi - lo).
+    bounds = tuple((-1.5 * j, 0.25 + j) for j in range(dim))
+    rng = RandomStream(21, 4)
+    reference = [tuple([lo + rng.next_unit() * (hi - lo) for lo, hi in bounds])
+                 for _ in range(length)]
+    points = list(IidUniform(bounds, seed=21, stream=4).points(length))
+    assert repr(points) == repr(reference)
 
 
 def test_bounds_must_be_ordered():
