@@ -17,9 +17,8 @@ delta alone: a miss inserts (+1), and a hit removes (-1) or keeps (0).
 
 Per-step randomness consumption is fixed and part of the reproducibility
 contract: first the tie-break draw(s) of the nearest-set sample, then,
-only on a hit, exactly one unit draw for the removal coin.  ``step``
-takes both inline, with the draws of ``sample_uniform`` and of the coin
-``next_unit() < remove_probability``; an empty model draws nothing.
+only on a hit, exactly one unit draw for the removal coin
+``next_unit() < remove_probability``.
 """
 
 from __future__ import annotations
@@ -106,12 +105,7 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
         index.insert(x, y_true)
         return StepOutcome(math.inf, +1)
 
-    nearest = index.query_nearest_set(x, config.tie_tolerance)
-    if len(nearest) == 1:
-        rng.next_u64()  # the one draw sample_uniform takes for one candidate
-        sampled = nearest[0]
-    else:
-        sampled = nearest[rng.next_below(len(nearest))]
+    sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
     d = output_metric.distance(index.output(sampled), y_true)
 
     if d > config.epsilon:

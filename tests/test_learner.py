@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from protostream.errors import ConfigError, EmptyModelError
+from protostream.errors import ConfigError, EmptyCandidatesError, EmptyModelError
 from protostream.index import INDEX_KINDS, INDEXES, LinearScanIndex, VpTreeIndex
 from protostream.learner import Action, LearnerConfig, predict, step
 from protostream.metrics import METRICS
@@ -197,6 +197,20 @@ def test_step_tie_draws_one_sample_and_the_coin(kind):
         assert rng.state == ref.state
         picked.add(j)
     assert picked == {0, 1, 2}
+
+
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_step_with_a_nan_point_has_no_candidate(kind):
+    # Every distance to a NaN point is NaN, so the nearest set is empty: the
+    # step raises before drawing and leaves the model as it was.
+    index = INDEXES[kind](EUCLID)
+    for i in range(40):
+        index.insert((0.1 * i,), 0.0)
+    rng, ref = RandomStream(8, 0), RandomStream(8, 0)
+    with pytest.raises(EmptyCandidatesError, match="empty candidate list"):
+        step(index, (math.nan,), 0.0, ABSDIFF, LearnerConfig(epsilon=0.5, q=0.75), rng)
+    assert rng.state == ref.state
+    assert len(index) == 40
 
 
 def test_forced_hits_remove_frequency_tracks_q():
