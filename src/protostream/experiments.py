@@ -23,15 +23,16 @@ the row's step::
 
 A traced run formats no rows itself.  It forks one writer process
 (``os.fork``, so traced runs need POSIX), which owns the trace file, and
-sends it each step's output distance and size delta, ``_BATCH`` steps to a
-message.  The writer rebuilds every other column from the deltas: the model
-size is their running sum, the action is ``ACTION_BY_DELTA``'s, and only an
-Insert (+1) misses.  The window columns are a ``WindowStats`` of the series
-window, fed the deltas.  While it fills (step ``k < w``) they are its rates
-over every step so far; from step ``w`` on, their text comes from one memo
-keyed by the integer hit count or delta sum, filled on first use: the same
-division by ``w`` and format, so the same bytes, from at most ``2w + 1``
-entries.
+sends it one 16-byte record per step down a pipe, ``_BATCH`` steps at a
+time: the output distance and the size delta, as two doubles.  A record
+the run did not finish is not written.  The writer rebuilds every other
+column from the deltas: the model size is their running sum, the action is
+``ACTION_BY_DELTA``'s, and only an Insert (+1) misses.  The window columns
+are a ``WindowStats`` of the series window, fed the deltas.  While it fills
+(step ``k < w``) they are its rates over every step so far; from step ``w``
+on, their text comes from one memo keyed by the integer hit count or delta
+sum, filled on first use: the same division by ``w`` and format, so the
+same bytes, from at most ``2w + 1`` entries.
 
 A series point needs no window: at every multiple of ``w`` it divides the
 hits and the size change since the previous multiple by ``w``, the same
@@ -179,8 +180,8 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     (POSIX only) while the run steps; the file is opened only once
     ``generate_stream`` has returned, so a stream that cannot be generated
     leaves no file behind.  The run returns, or raises, only once the writer
-    has written every completed step and exited; a writer's OSError is raised
-    here in its place.
+    has written every completed step it was sent and exited; a writer's
+    OSError is raised here in its place.
     """
     if index_kind not in INDEXES:
         raise ConfigError(f"unknown index kind {index_kind!r}; expected one of {INDEX_KINDS}")
@@ -206,8 +207,7 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
              if trace_path else nullcontext())
     with trace as writer:
         if writer:
-            record_distance = writer.distances.append
-            record_delta = writer.deltas.append
+            record = writer.records.append
             batch = _BATCH
         for k, x in enumerate(points, 1):
             outcome = step(index, x, evaluate(x), output_metric, config, rng)
@@ -217,8 +217,8 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
             if k == cut:
                 hits_at_cut, size_at_cut = hits, size
             if writer:
-                record_distance(outcome.output_distance)
-                record_delta(delta)
+                record(outcome.output_distance)
+                record(delta)
                 if k % batch == 0:
                     writer.send()
             if k % series_window == 0:
@@ -257,22 +257,17 @@ _BATCH = 4096
 class _TraceWriter:
     """A traced run's end of its forked trace writer.
 
-    The run appends each step's output distance and size delta to
-    ``distances`` and ``deltas``; ``send`` writes them down a pipe as one
-    message (the step count in 4 bytes, the distances, the deltas) and empties
-    them.  The pipe's capacity bounds how far the run gets ahead.  Leaving the
-    ``with`` block sends the rest, closes the pipe, reaps the writer and
+    The run appends each step's record to ``records``: its output distance,
+    then its size delta.  ``send`` empties ``records`` and writes their bytes
+    down a pipe, whose capacity bounds how far the run gets ahead.  Leaving
+    the ``with`` block sends the rest, closes the pipe, reaps the writer and
     raises the writer's own OSError if it failed.
     """
 
     def __init__(self, out, series_window: int):
         from array import array  # here: an untraced run never loads it
 
-        self.distances = array("d")
-        self.deltas = array("b")
-        # Set while a message is going out: one cut short by an exception
-        # may be half sent, so no other message may follow it.
-        self._sending = False
+        self.records = array("d")
         with out:  # this process writes nothing to it; the writer owns it
             fds = []
             try:
@@ -297,24 +292,23 @@ class _TraceWriter:
 
     def __exit__(self, *exc_info) -> None:
         try:
-            if self.deltas and not self._sending:
+            if self.records:
                 self.send()
         finally:
             os.close(self._pipe)
             self._reap()
 
     def send(self) -> None:
-        message = memoryview(len(self.deltas).to_bytes(4, "little")
-                             + self.distances.tobytes() + self.deltas.tobytes())
-        self._sending = True
+        # Emptied before the write: after a send cut short, nothing follows
+        # its partial bytes down the pipe.
+        message = memoryview(self.records.tobytes())
+        del self.records[:]
         try:
             while message:
                 message = message[os.write(self._pipe, message):]
         except BrokenPipeError:  # the writer is gone: its own error says why
             self._reap()
             raise
-        del self.distances[:], self.deltas[:]
-        self._sending = False
 
     def _reap(self) -> None:
         """Wait for the writer once; raise its error if it failed."""
@@ -376,10 +370,11 @@ def _writer_process(source: int, error_sink: int, parent_fds, out,
 
 
 def _trace_text(messages, series_window: int):
-    """The rows of each message from the run, as one string per message.
+    """The rows of the run's step records, as one string per read.
 
-    A message cut short (the run was interrupted inside ``send``) ends the
-    trace: its steps are dropped rather than misread.
+    Each read takes ``_BATCH`` records of 16 bytes; only whole records are
+    written.  The stream can end in part of one (a step interrupted between
+    its two appends, or a ``send`` cut short), which is dropped.
     """
     # A full window divides its hit count (0..w) and its delta sum (-w..w)
     # by w, so both columns share one text memo of at most 2w + 1 entries.
@@ -390,15 +385,11 @@ def _trace_text(messages, series_window: int):
     window = WindowStats(series_window)
     update = window.update
     k = size = 0
-    while len(head := messages.read(4)) == 4:
-        n = int.from_bytes(head, "little")
-        body = messages.read(9 * n)
-        if len(body) < 9 * n:
-            return
+    while chunk := messages.read(16 * _BATCH):
         rows = []
         append = rows.append
-        view = memoryview(body)
-        for distance, delta in zip(view[:8 * n].cast("d"), view[8 * n:].cast("b")):
+        records = memoryview(chunk)[:len(chunk) // 16 * 16].cast("d")
+        for distance, delta in zip(records[::2], map(int, records[1::2])):
             k += 1
             size += delta
             update(delta)

@@ -222,6 +222,24 @@ def test_run_whose_trace_writer_dies_exits_three(steps, monkeypatch, tmp_path, c
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_run_whose_trace_writer_cannot_fork_exits_three(monkeypatch, tmp_path, capsys):
+    # The pipes made for the writer are closed again, and no child is left.
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    before = open_fds()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert main(["run", "--steps", "10", "--output", str(tmp_path / "t.csv")]) == 3
+    assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.EAGAIN}] "
+                                       f"{os.strerror(errno.EAGAIN)}\n")
+    assert open_fds() == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # The run cases' ids name the stdout alone.
 @pytest.mark.parametrize("command, stdout", [
     pytest.param(command, stdout, id=("" if command == "run" else f"{command}-") + stdout)

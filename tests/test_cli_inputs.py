@@ -446,8 +446,6 @@ def test_huge_grid_resolution_is_refused_before_any_allocation(tmp_path, capsys)
 
 # Each command at a tiny size, also for test_cli's stdout tests; "OUT" stands
 # for a path under tmp_path.
-_TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
-                "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
 IO_COMMANDS = {
     "run": ["run", "--steps", "10", "--output", "OUT"],
     **{f"sweep-jobs{jobs}": ["sweep", "--steps", "10", "--q-list", "0.75,0.9",

@@ -8,16 +8,20 @@ pi(1) = q, pi(0) = 1 - q, which pins the long-run hit rate at q and the
 mean size change at zero.
 """
 
+import io
+import math
 import os
 import re
 import signal
 import tempfile
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from protostream import experiments
 from protostream.errors import ConfigError, ProtostreamError
 from protostream.experiments import (
     TRACE_HEADER,
@@ -64,6 +68,12 @@ def test_growth_rejects_bad_probability():
         growth_identity_experiment(-0.1, 0.75, 100, seed=0)
     with pytest.raises(ConfigError):
         growth_identity_experiment(1.5, 0.75, 100, seed=0)
+    with pytest.raises(ConfigError, match="steps must be >= 1, got 0"):
+        growth_identity_experiment(0.5, 0.75, 0, seed=0)
+    with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+        conditional_branch_experiment(0.75, 0, seed=0)
+    with pytest.raises(ConfigError, match="trials must be >= 1, got 0"):
+        forced_miss_experiment(0, seed=0)
 
 
 def test_theorem_degenerate_regime_matches_markov_chain():
@@ -296,6 +306,96 @@ def test_trace_keeps_every_completed_step_when_a_step_raises(monkeypatch, tmp_pa
                 os.waitpid(-1, os.WNOHANG)
     finally:
         signal.signal(signal.SIGINT, previous)
+
+
+def _traced_run(target_name, steps):
+    """A run of ``steps`` steps, as a function of its trace path."""
+    target = TARGETS[target_name]
+    config = LearnerConfig(epsilon=0.1, q=0.9, seed=2)
+    generator = IidUniform(target.domain, config.seed, points_stream_index(0))
+    return lambda path: theorem_experiment(target, EUCLID, config, generator, steps,
+                                           trace_path=str(path))
+
+
+def _assert_trace_is_the_first_rows(cut, whole, rows):
+    """``cut`` holds the header and the first ``rows`` rows of ``whole``; no child is left."""
+    assert cut.read_bytes() == b"".join(whole.read_bytes().splitlines(True)[:1 + rows])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("steps_done", [1500, 4096, 4097])
+@pytest.mark.parametrize("target_name", ["sine_1d", "step_1d"])
+def test_trace_drops_a_step_interrupted_between_its_two_appends(target_name, steps_done,
+                                                                monkeypatch, tmp_path):
+    # A Ctrl-C can land after a step's output distance is recorded and
+    # before its size delta is.  That half record must not reach the trace,
+    # and every step before it must, as a run left alone writes it.  Step
+    # 4096 ends a batch that was never sent; step 4097 opens the next one.
+    run = _traced_run(target_name, 5000)
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    run(whole)
+    appends = 0
+
+    class Records(array):
+        def append(self, value):
+            nonlocal appends
+            super().append(value)
+            appends += 1
+            if appends == 2 * steps_done - 1:
+                raise KeyboardInterrupt
+
+    init = experiments._TraceWriter.__init__
+
+    def init_with_cut_records(self, *args):
+        init(self, *args)
+        self.records = Records("d")
+
+    monkeypatch.setattr(experiments._TraceWriter, "__init__", init_with_cut_records)
+    with pytest.raises(KeyboardInterrupt):
+        run(cut)
+    _assert_trace_is_the_first_rows(cut, whole, steps_done - 1)
+
+
+@pytest.mark.parametrize("cut_send", [1, 2])
+def test_trace_keeps_the_whole_records_of_a_send_cut_short(cut_send, monkeypatch, tmp_path):
+    # A Ctrl-C inside a send can leave part of a batch written, ending
+    # inside a record.  Nothing may follow those bytes: the trace is every
+    # earlier batch and the whole records of the cut one.
+    run = _traced_run("sine_1d", 10_000)
+    whole, cut = tmp_path / "whole.csv", tmp_path / "cut.csv"
+    run(whole)
+    run_pid, write, writes = os.getpid(), os.write, 0
+
+    def cut_write(fd, data):
+        nonlocal writes
+        if os.getpid() == run_pid:
+            writes += 1
+            if writes == cut_send:
+                write(fd, data[:1000])
+                raise KeyboardInterrupt
+        return write(fd, data)
+
+    monkeypatch.setattr(os, "write", cut_write)
+    with pytest.raises(KeyboardInterrupt):
+        run(cut)
+    _assert_trace_is_the_first_rows(cut, whole, (cut_send - 1) * experiments._BATCH + 1000 // 16)
+
+
+def test_trace_text_drops_stray_bytes_after_the_last_record():
+    records = array("d", [math.inf, 1, 0.25, -1, 0.5, 0]).tobytes()
+    text = "1,Insert,1,inf,0,0,1\n2,Remove,0,0.25,1,0.5,0\n3,Keep,0,0.5,1,1,-0.5\n"
+    # Half a record, then part of one cut inside a double.
+    for stray in (b"", array("d", [0.75]).tobytes(), bytes(13)):
+        assert "".join(experiments._trace_text(io.BytesIO(records + stray), 2)) == text
+
+
+def test_read_trace_rejects_a_foreign_header(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("n,action\n1,Insert\n")
+    with pytest.raises(ProtostreamError,
+                       match=re.escape("t.csv:1: unexpected trace header: 'n,action'")):
+        read_trace(str(path))
 
 
 @pytest.mark.parametrize("row", [b"1,Insert,1", b"1,Insert,1,inf,0,0.0,1.0,7",

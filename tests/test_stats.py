@@ -1,5 +1,8 @@
 """Sliding-window statistics over step size deltas."""
 
+import pytest
+
+from protostream.errors import ConfigError
 from protostream.stats import RunReport, WindowStats
 
 # A step is its size delta: a miss inserts, a hit removes or keeps.
@@ -59,6 +62,8 @@ def test_empty_window_reports_zero():
     stats = WindowStats(window_size=5)
     assert stats.hit_rate == 0.0
     assert stats.mean_size_delta == 0.0
+    with pytest.raises(ConfigError, match="window size must be at least 1, got 0"):
+        WindowStats(0)
 
 
 def test_run_report_summary_lines_mention_key_fields():
