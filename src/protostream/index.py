@@ -15,16 +15,26 @@ inserts only the linear scan accepts).
 The tree answers a query in a single descent.  It keeps every live point
 within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
 prunes against that shrinking band, and at the end drops the candidates
-outside the band of the exact minimum.
+outside the band of the exact minimum.  An internal node holds its vantage
+point itself, ``point``, so a descent measures it without an id lookup.  A
+far child waits with its gap, the bound below which the slack-widened
+triangle test prunes it, computed once when it is pushed; popping it costs
+one comparison, and a NaN gap never prunes.  Every candidate is at least
+the best distance known when it was added, so a new best ``d`` with
+``d * (1 + tie_tolerance)`` below the previous best leaves no earlier
+candidate in the final band, and the candidate list restarts at ``d``.  At
+tolerance 0 it restarts at every new best, so a query usually ends with one
+candidate, which it returns after the band test without a sort.
 
-A removal takes the id out of its leaf at once and releases its point and
-output, so leaves hold only live ids and a query never measures a removed
-leaf point.  A removed vantage point stays in its node, which is marked no
-longer live, and still partitions the points below.  Every removed id keeps
-its slot in the per-id lists until the next rebuild, which renumbers the
-live ids to ``0..n-1`` in the same order and drops the slots; it runs once
-the removed ids outnumber twice the live count, so the tree's storage stays
-within three times the live count, not the number of points ever inserted.
+A removal releases the id's point and output at once and takes a leaf id
+out of its leaf, so leaves hold only live ids and a query never measures a
+removed leaf point.  A removed vantage point stays on its node, which is
+marked no longer live, and still partitions the points below.  Every
+removed id keeps its slot in the per-id lists until the next rebuild, which
+renumbers the live ids to ``0..n-1`` in the same order and drops the slots;
+it runs once the removed ids outnumber twice the live count, so the tree's
+storage stays within three times the live count, not the number of points
+ever inserted.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
@@ -59,6 +69,12 @@ _LEAF_CAPACITY = 16
 # itself): computed distances can violate the triangle inequality by a
 # few ulps, and a pruned subtree cannot be recovered later.
 _PRUNE_SLACK = 1e-9
+
+# A far child is pruned when dv < (mu - bound) * (1 - slack) (outer) or
+# dv > (mu + bound) * (1 + slack) (inner), that is when the bound falls
+# below mu - dv * _OUTER or dv * _INNER - mu.
+_OUTER = 1.0 / (1.0 - _PRUNE_SLACK)
+_INNER = 1.0 / (1.0 + _PRUNE_SLACK)
 
 
 def _resolve(metric: MetricDescriptor):
@@ -137,17 +153,23 @@ class LinearScanIndex:
 class _Node:
     """Tree node; ``bucket`` is a list of point ids at leaves, else None.
 
+    An internal node's vantage point is ``point``, and ``vantage`` is its id,
+    the handle.  A rebuild renumbers the ids but keeps the point objects, and
+    builds new nodes, so ``point`` never goes stale.  Inner holds the points
+    with ``d(point, p) <= mu``, outer every other one, NaN distances included.
     An internal node is ``live`` until its vantage point is removed; a leaf
     is always ``live``.  A leaf splits once its bucket outgrows ``cap``.  A
     split that cannot separate the bucket (every point at one distance from
-    the vantage) doubles the leaf's ``cap``, so the next attempt waits until
-    the bucket has doubled instead of coming at every insert.
+    the vantage, or a NaN median) doubles the leaf's ``cap``, so the next
+    attempt waits until the bucket has doubled instead of coming at every
+    insert.
     """
 
-    __slots__ = ("vantage", "live", "mu", "inner", "outer", "bucket", "cap")
+    __slots__ = ("vantage", "point", "live", "mu", "inner", "outer", "bucket", "cap")
 
     def __init__(self, bucket):
         self.vantage = -1
+        self.point = None
         self.live = True
         self.mu = 0.0
         self.inner = None
@@ -201,7 +223,7 @@ class VpTreeIndex:
         pts = self._points
         try:
             while node.bucket is None:
-                node = node.inner if dist(pts[node.vantage], point) <= node.mu else node.outer
+                node = node.inner if dist(node.point, point) <= node.mu else node.outer
             pid = len(pts)
             pts.append(point)
             self._outputs.append(output)
@@ -231,11 +253,12 @@ class VpTreeIndex:
         self.output(handle)  # raises PositionOutOfRangeError unless the handle is live
         node = self._node[handle]
         if node.bucket is None:
-            # A vantage point keeps its point: descents still measure it.
+            # The vantage point stays on its node: descents still measure it.
             node.live = False
         else:
             node.bucket.remove(handle)
-            self._node[handle] = self._points[handle] = self._outputs[handle] = None
+            self._node[handle] = None
+        self._points[handle] = self._outputs[handle] = None
         self._live = live = self._live - 1
         if len(self._points) - live > 2 * live:
             self._rebuild()
@@ -259,7 +282,8 @@ class VpTreeIndex:
 
     def _split(self, node: _Node) -> None:
         # Iteratively split oversized leaves; a leaf whose points all sit
-        # at one distance from the vantage cannot make progress, is kept
+        # at one distance from the vantage, or whose median distance is NaN,
+        # leaves one side empty: it cannot make progress, is kept
         # oversized and doubles its cap.  Every bucket holds live ids only,
         # and ``_node`` names the leaf or internal node where each id ends.
         # No node changes before the first distance pass, so a split that
@@ -280,15 +304,17 @@ class VpTreeIndex:
             vp = pts[vantage]
             pairs = sorted((dist(vp, pts[i]), i) for i in rest)
             mu = pairs[(len(pairs) - 1) // 2][0]
+            # A NaN distance goes outer, where an insert's descent sends it.
             inner = [i for d, i in pairs if d <= mu]
-            outer = [i for d, i in pairs if d > mu]
-            if not outer:
+            outer = [i for d, i in pairs if not d <= mu]
+            if not inner or not outer:
                 leaf.cap = 2 * len(bucket)
                 for i in bucket:
                     node_of[i] = leaf
                 continue
             node_of[vantage] = leaf
             leaf.vantage = vantage
+            leaf.point = vp
             leaf.mu = mu
             leaf.inner = _Node(inner)
             leaf.outer = _Node(outer)
@@ -309,53 +335,57 @@ class VpTreeIndex:
         pts = self._points
         widen = 1.0 + tie_tolerance
         best = bound = math.inf
+        # Every candidate is at least the best distance known when it was
+        # added, so a new best d with d * widen < best leaves no earlier
+        # candidate inside the final band: the list restarts.
         found = []
-        # Far children wait as (node, parent vantage distance, parent mu,
-        # is inner); the prune test runs at pop time against the tightened
-        # bound.
-        far = []
+        far = []  # (gap, child): the child is pruned once the bound is below gap
         node = self._root
         try:
-            while node is not None:
-                bucket = node.bucket
-                if bucket is None:
-                    vantage = node.vantage
-                    dv = dist(pts[vantage], x)
+            while True:
+                while (bucket := node.bucket) is None:
+                    dv = dist(node.point, x)
                     if node.live and dv <= bound:
-                        found.append((vantage, dv))
                         if dv < best:
+                            if dv * widen < best:
+                                found = []
                             best = dv
-                            bound = best * widen
+                            bound = dv * widen
+                        found.append((node.vantage, dv))
                     mu = node.mu
                     # The near child can never be pruned (dv <= mu <= mu + bound,
                     # or dv > mu >= mu - bound), so descend into it at once.
                     if dv <= mu:
-                        far.append((node.outer, dv, mu, False))
+                        far.append((mu - dv * _OUTER, node.outer))
                         node = node.inner
                     else:
-                        far.append((node.inner, dv, mu, True))
+                        far.append((dv * _INNER - mu, node.inner))
                         node = node.outer
-                    continue
                 for pid in bucket:
                     d = dist(pts[pid], x)
                     if d <= bound:
-                        found.append((pid, d))
                         if d < best:
+                            if d * widen < best:
+                                found = []
                             best = d
-                            bound = best * widen
-                node = None
+                            bound = d * widen
+                        found.append((pid, d))
+                # A NaN gap never prunes.
                 while far:
-                    child, dv, mu, inner = far.pop()
-                    if inner and dv > (mu + bound) * (1.0 + _PRUNE_SLACK):
-                        continue
-                    if not inner and dv < (mu - bound) * (1.0 - _PRUNE_SLACK):
-                        continue
-                    node = child
+                    gap, node = far.pop()
+                    if not gap > bound:
+                        break
+                else:
                     break
         except self._mismatch as exc:
             raise _dimension_error(exc) from None
         # bound is now best * (1 + tol) for the exact minimum best, the same
         # threshold linear_tie_set applies (best * 1.0 == best at tol 0).
+        # The test stays for one candidate too: under a negative or NaN
+        # tolerance the band can exclude even the best candidate.
+        if len(found) == 1:
+            (pid, d), = found
+            return [pid] if d <= bound else []
         return sorted([pid for pid, d in found if d <= bound])
 
 

@@ -315,6 +315,27 @@ def test_split_skips_removed_points():
         assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
 
 
+def test_split_keeps_a_point_at_nan_distance():
+    # The 17th insert splits the root leaf around (8.0,), and (nan,) sits
+    # at a NaN distance from it: the split must still put it in a leaf, so
+    # that removing it takes that point out and nothing else.
+    lin = LinearScanIndex(EUCLID)
+    tree = VpTreeIndex(EUCLID)
+    for idx in (lin, tree):
+        idx.insert((math.nan,), "nan")
+        for i in range(1, 17):
+            idx.insert((float(i),), i)
+    queries = [(0.4,), (8.0,), (8.6,), (16.5,), (math.nan,)]
+    for removed in (False, True):
+        assert len(tree) == len(lin) == 17 - removed
+        assert stored_outputs(tree) == stored_outputs(lin)
+        for x in queries:
+            assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
+        for idx in (lin, tree):
+            idx.remove(live_handles(idx)[0])
+    assert stored_outputs(tree) == list(range(2, 17))
+
+
 def test_rebuild_keeps_an_unmeasured_root_leaf():
     # Seventeen equal points cannot be split, so the root leaf's cap grows
     # and a 2-D point joins it unmeasured.  The rebuild that the removals
@@ -455,3 +476,26 @@ def test_tree_distance_calls_are_pinned(tie_tol):
             idx.query_nearest_set(point(), tie_tol)
     digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
     assert (len(calls), digest) == _SESSION_CALLS[tie_tol]
+
+
+# Call count and SHA-256 of every distance(stored, query) call in a 1-D run
+# shaped like the benchmark's churn workload (sine_1d, epsilon 0.001,
+# q 0.5, seed 0): about 1100 live exemplars, half of the steps inserting and
+# half removing, and two rebuilds within the 12,000 steps.
+_CHURN_CALLS = (271254, "e48a5f8008ea146c5ace26ebbcbd91693ab21fb0c5df9bbcc17f9a0fa44bf824")
+
+
+def test_tree_distance_calls_are_pinned_on_a_churn_run():
+    calls = []
+
+    def distance(stored, query):
+        calls.append(f"{stored!r}|{query!r}")
+        return EUCLID.distance(stored, query)
+
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.001, q=0.5, seed=0)
+    theorem_experiment(target, MetricDescriptor("counted", distance), config,
+                       IidUniform(target.domain, config.seed, points_stream_index(0)),
+                       12_000, index_kind="vptree")
+    digest = hashlib.sha256("\n".join(calls).encode()).hexdigest()
+    assert (len(calls), digest) == _CHURN_CALLS

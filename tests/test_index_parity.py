@@ -8,6 +8,7 @@ whether an insert of mixed-dimension points succeeds.
 
 import dataclasses
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -271,3 +272,45 @@ def test_leaves_hold_only_live_ids(seed, dim, lattice, ops):
                 x = point()
                 assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
             _assert_leaves_hold_the_live_ids(tree, lin)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 3),
+       lattice=st.sampled_from([None, 3, 6]),
+       metric=st.sampled_from(["euclidean", "chebyshev"]),
+       tie_tol=st.sampled_from([0.0, 1e-12, 0.05, 0.5, 2.0, -0.5, math.nan]),
+       grow=st.integers(0, 200),
+       ops=st.lists(st.tuples(st.sampled_from(["insert", "remove", "query"]),
+                              st.integers(1, 40)), max_size=12))
+def test_query_parity_at_the_edges_of_the_band(seed, dim, lattice, metric, tie_tol, grow, ops):
+    # Every query's tie set equals the linear scan's, for tolerances at and
+    # past the edges of what a run accepts: 0 (bit-equal ties), a band
+    # narrower than most distance gaps, wide bands, and the negative and
+    # NaN tolerances under which the linear scan keeps only exact zeros or
+    # nothing.  The first ``grow`` inserts give the tree internal nodes.
+    rng = RandomStream(seed, 0)
+
+    def point():
+        if lattice:
+            return tuple(float(rng.next_below(lattice)) for _ in range(dim))
+        return tuple(rng.next_unit() * 10.0 for _ in range(dim))
+
+    lin = LinearScanIndex(METRICS[metric])
+    tree = VpTreeIndex(METRICS[metric])
+    tag = 0  # each point's output names it
+    for op, count in [("insert", grow)] + ops:
+        for _ in range(count):
+            if op == "insert":
+                p = point()
+                lin.insert(p, tag)
+                tree.insert(p, tag)
+                tag += 1
+            elif not lin:
+                break
+            elif op == "remove":
+                k = rng.next_below(len(lin))
+                lin.remove(k)
+                tree.remove(live_handles(tree)[k])
+            else:
+                x = point()
+                assert nearest_outputs(tree, x, tie_tol) == nearest_outputs(lin, x, tie_tol)
