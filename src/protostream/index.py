@@ -30,11 +30,22 @@ A removal releases the id's point and output at once and takes a leaf id
 out of its leaf, so leaves hold only live ids and a query never measures a
 removed leaf point.  A removed vantage point stays on its node, which is
 marked no longer live, and still partitions the points below.  Every
-removed id keeps its slot in the per-id lists until the next rebuild, which
-renumbers the live ids to ``0..n-1`` in the same order and drops the slots;
-it runs once the removed ids outnumber twice the live count, so the tree's
-storage stays within three times the live count, not the number of points
-ever inserted.
+removed id keeps its slot in the per-id lists until the removed ids holding
+a slot outnumber twice the live count, so the tree's storage stays within
+three times the live count, not the number of points ever inserted.  Then
+a compaction renumbers the ids that still have a node, the live ones and
+the removed vantage points, in the same order, drops every other slot and
+remaps the buckets and vantage ids in place.  It measures no distance and
+leaves the tree's shape as it is.  A stale tree is rebuilt from its live
+points instead.  It is stale when it has more leaves than half the live
+count, or a leaf deeper than twice the bit length of
+``live // _LEAF_CAPACITY``: the depth test of a scapegoat tree (Galperin
+and Rivest, SODA 1993), applied to the whole tree.  A tree has one leaf
+more than it has internal nodes, so a compaction keeps fewer removed
+vantage points than half the live count, and the next compaction or
+rebuild comes more removals later than the live count it meets.  Amortized,
+each removal pays O(1) for compactions and O(log n) distance calls for
+rebuilds.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
@@ -154,8 +165,9 @@ class _Node:
     """Tree node; ``bucket`` is a list of point ids at leaves, else None.
 
     An internal node's vantage point is ``point``, and ``vantage`` is its id,
-    the handle.  A rebuild renumbers the ids but keeps the point objects, and
-    builds new nodes, so ``point`` never goes stale.  Inner holds the points
+    the handle.  A compaction renumbers ``vantage`` and the bucket ids in
+    place, and a rebuild builds new nodes; neither replaces a point object,
+    so ``point`` never goes stale.  Inner holds the points
     with ``d(point, p) <= mu``, outer every other one, NaN distances included.
     An internal node is ``live`` until its vantage point is removed; a leaf
     is always ``live``.  A leaf splits once its bucket outgrows ``cap``.  A
@@ -188,17 +200,19 @@ class VpTreeIndex:
     the internal node whose vantage point it is.  Removal takes the id out
     of its leaf and clears its ``_node`` entry, or clears its internal
     node's ``live``, so an id is live exactly when its node is not None and
-    ``live``.  The tree is rebuilt from live points whenever the removed ids
-    still holding a slot, ``len(_points) - _live``, exceed twice the live
-    count, so ``len(_points)`` never exceeds three times the live count.  A
-    rebuild renumbers the live ids to ``0..n-1``, order preserved, and drops
-    the dead entries; vantage picks and tie orders are unchanged by it.
+    ``live``.  Whenever the removed ids still holding a slot,
+    ``len(_points) - _live``, exceed twice the live count, ``_compact``
+    walks the tree once: it keeps the ids that have a node, renumbered in
+    order, and drops the others, or rebuilds a stale tree from its live
+    points, renumbered to ``0..n-1`` in order (see the module docstring).
+    So ``len(_points)`` never exceeds three times the live count, and the
+    order of handles, hence every tie order, is unchanged by either.
     """
 
     def __init__(self, metric: MetricDescriptor):
         self._distance, self._mismatch = _resolve(metric)
-        self._points: list = []       # by internal id, compacted at rebuild
-        self._outputs: list = []      # by internal id, compacted at rebuild
+        self._points: list = []       # by internal id, compacted at a trigger
+        self._outputs: list = []      # by internal id, compacted at a trigger
         self._node: list = []         # by internal id: its leaf or vantage node, or None
         self._live = 0                # number of live ids
         self._root = _Node([])        # an empty leaf while nothing is stored
@@ -249,7 +263,8 @@ class VpTreeIndex:
     def remove(self, handle: int) -> None:
         # Points of different dimensions can only share a root leaf (a
         # descent or split measures every other stored point against the
-        # root vantage), and a rebuild does not split that: it cannot raise.
+        # root vantage); a compaction measures nothing, and a rebuild does
+        # not split a root leaf: it cannot raise.
         self.output(handle)  # raises PositionOutOfRangeError unless the handle is live
         node = self._node[handle]
         if node.bucket is None:
@@ -261,7 +276,40 @@ class VpTreeIndex:
         self._points[handle] = self._outputs[handle] = None
         self._live = live = self._live - 1
         if len(self._points) - live > 2 * live:
+            self._compact()
+
+    def _compact(self) -> None:
+        # One walk finds every node, the leaf count and the deepest leaf.
+        live = self._live
+        nodes = []
+        leaves = deepest = 0
+        stack = [(self._root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            nodes.append(node)
+            if node.bucket is None:
+                stack.append((node.inner, depth + 1))
+                stack.append((node.outer, depth + 1))
+            else:
+                leaves += 1
+                if depth > deepest:
+                    deepest = depth
+        if 2 * leaves > live or deepest > 2 * (live // _LEAF_CAPACITY).bit_length():
             self._rebuild()
+            return
+        # Keep the ids that still have a node, live ones and removed vantage
+        # points, renumbered in order; the tree keeps its shape and points.
+        node_of, pts, outputs = self._node, self._points, self._outputs
+        kept = [i for i, node in enumerate(node_of) if node is not None]
+        new_id = {old: new for new, old in enumerate(kept)}
+        for node in nodes:
+            if node.bucket is None:
+                node.vantage = new_id[node.vantage]
+            else:
+                node.bucket = [new_id[i] for i in node.bucket]
+        self._points = [pts[i] for i in kept]
+        self._outputs = [outputs[i] for i in kept]
+        self._node = [node_of[i] for i in kept]
 
     def _rebuild(self) -> None:
         # Leaves are always live, so an id is live while its node is.

@@ -1,6 +1,7 @@
 """Nearest-set backends: linear oracle vs vantage-point tree."""
 
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -12,11 +13,17 @@ from protostream.errors import (
     PositionOutOfRangeError,
 )
 from protostream.experiments import theorem_experiment
-from protostream.index import INDEXES, LinearScanIndex, VpTreeIndex, linear_tie_set
+from protostream.index import (
+    _LEAF_CAPACITY,
+    INDEXES,
+    LinearScanIndex,
+    VpTreeIndex,
+    linear_tie_set,
+)
 from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, MetricDescriptor
 from protostream.rng import RandomStream, points_stream_index
-from protostream.streams import IidUniform
+from protostream.streams import IidUniform, RandomWalk
 
 from handles import live_handles, nearest_outputs, stored_outputs
 
@@ -401,9 +408,10 @@ def test_discrete_run_costs_the_tree_no_more_than_a_linear_scan():
 
 
 def test_churn_rebuilds_rarely(monkeypatch):
-    # 10,000 insert/remove pairs at a steady 1000 live points: a rebuild
-    # waits until the removed ids still holding a slot exceed twice the
-    # live count, so it comes about every 2000 removals.
+    # 10,000 insert/remove pairs at a steady 1000 live points: a compaction
+    # waits until the removed ids still holding a slot exceed twice the live
+    # count, and keeps fewer than half the live count of them, so one comes
+    # every 1500 to 2000 removals; a tree this steady is never rebuilt.
     rebuilds = 0
     rebuild = VpTreeIndex._rebuild
 
@@ -424,6 +432,121 @@ def test_churn_rebuilds_rarely(monkeypatch):
     assert rebuilds <= 6
 
 
+def _tree_shape(tree):
+    """The tree's node count and the depth of its deepest leaf (a root leaf: 0)."""
+    nodes = deepest = 0
+    stack = [(tree._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        nodes += 1
+        if node.bucket is None:
+            stack += [(node.inner, depth + 1), (node.outer, depth + 1)]
+        else:
+            deepest = max(deepest, depth)
+    return nodes, deepest
+
+
+def _triggered_session(monkeypatch, points, rounds, rng, oracle=False):
+    """Run ``rounds`` of (inserts, removals) on a tree and note its triggers.
+
+    Each round inserts the next ``points``, then removes live points at
+    random.  ``remove`` calls ``_compact`` once the removed ids holding a
+    slot exceed twice the live count, and ``_compact`` rebuilds a stale tree
+    through ``_rebuild``.  Returns the tree and, per trigger, the live
+    count, whether it rebuilt, the removals since the previous trigger, and
+    the node count and deepest leaf it left.  With ``oracle``, a linear scan
+    mirrors the tree and each round ends with a query both answer alike.
+    """
+    compact, rebuild = VpTreeIndex._compact, VpTreeIndex._rebuild
+    triggers, rebuilt = [], []
+
+    def watched_compact(tree):
+        rebuilt.clear()
+        live = len(tree)
+        compact(tree)
+        triggers.append((live, bool(rebuilt), removals, *_tree_shape(tree)))
+
+    def watched_rebuild(tree):
+        rebuilt.append(True)
+        rebuild(tree)
+
+    monkeypatch.setattr(VpTreeIndex, "_compact", watched_compact)
+    monkeypatch.setattr(VpTreeIndex, "_rebuild", watched_rebuild)
+    tree = VpTreeIndex(EUCLID)
+    lin = LinearScanIndex(EUCLID) if oracle else None
+    handles = []  # the tree's live handles, ascending; renumbered at a trigger
+    removals = 0  # since the last trigger
+    tags = itertools.count()  # each point's output names it
+    for inserts, removes in rounds:
+        for _ in range(inserts):
+            p, tag = next(points), next(tags)
+            handles.append(len(tree._points))
+            tree.insert(p, tag)
+            if lin is not None:
+                lin.insert(p, tag)
+        for _ in range(removes):
+            k = rng.next_below(len(handles))
+            removals += 1
+            seen = len(triggers)
+            tree.remove(handles.pop(k))
+            if lin is not None:
+                lin.remove(k)
+            if len(triggers) > seen:
+                handles, removals = live_handles(tree), 0
+        if lin is not None:
+            x = _random_point(rng, 2)
+            assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
+    assert len(tree) == len(handles)
+    return tree, triggers
+
+
+def _assert_triggers_amortized(triggers):
+    # A compaction keeps fewer removed vantage ids than half the live count,
+    # so each trigger comes more removals after the one before than the live
+    # count it meets: compactions plus rebuilds number at most
+    # removals / live + 1, the live count taken at the triggers.
+    for live, _, removals, _, _ in triggers:
+        assert removals > live
+
+
+def test_steady_churn_compacts_without_rebuilding(monkeypatch):
+    # 10,000 insert/remove pairs at 1000 live points, each pair followed by a
+    # query that must match the linear scan's.
+    rng = RandomStream(32, 0)
+    points = iter(lambda: _random_point(rng, 2), None)
+    tree, triggers = _triggered_session(monkeypatch, points, [(1000, 0)] + [(1, 1)] * 10_000,
+                                        rng, oracle=True)
+    assert len(triggers) >= 5
+    assert not any(rebuilt for _, rebuilt, _, _, _ in triggers)
+    _assert_triggers_amortized(triggers)
+
+
+def test_grown_then_shrunk_tree_is_rebuilt(monkeypatch):
+    # A tree grown to 10,000 live points and shrunk to 100 would keep most of
+    # its leaves, nearly empty, if it were only compacted.
+    rng = RandomStream(33, 0)
+    points = iter(lambda: _random_point(rng, 2), None)
+    tree, triggers = _triggered_session(monkeypatch, points, [(10_000, 9_900)], rng)
+    assert len(tree) == 100
+    assert any(rebuilt for _, rebuilt, _, _, _ in triggers)
+    _assert_triggers_amortized(triggers)
+    nodes, _ = _tree_shape(tree)
+    assert nodes < len(tree)
+
+
+def test_drifting_points_keep_the_tree_shallow(monkeypatch):
+    # Insert/remove pairs whose points follow a random walk: new points keep
+    # landing at the walk's end and deepen the tree there, so a trigger must
+    # leave no leaf deeper than twice the bit length of live // leaf size.
+    rng = RandomStream(34, 0)
+    points = iter(RandomWalk(0.05, ((0.0, 10.0),) * 2, 34, 1).points(12_000))
+    tree, triggers = _triggered_session(monkeypatch, points, [(1000, 0)] + [(1, 1)] * 10_000, rng)
+    assert triggers
+    for live, _, _, _, deepest in triggers:
+        assert deepest <= 2 * (live // _LEAF_CAPACITY).bit_length()
+    _assert_triggers_amortized(triggers)
+
+
 def test_other_metrics_errors_pass_through():
     # Only euclidean_distance itself is resolved to math.dist; a metric
     # that calls math.dist on its own keeps its ValueError.
@@ -436,14 +559,16 @@ def test_other_metrics_errors_pass_through():
 
 # Call count and SHA-256 of every distance(stored, query) call the tree
 # made in the session below: a change to the descent must make the same
-# calls.  Taken once removals left their leaves at once and rebuilds waited
-# for twice the live count in removed points, which changed the tree's
-# shape; the second shrink grew from 100 to 120 removals with it, so that
-# it still rebuilds (before: 23088 and 24952 calls; before splits stopped
-# measuring removed ids: 23228 and 24929).
+# calls.  Taken once a removal trigger compacted the ids of a tree that was
+# not stale instead of re-splitting it, which keeps the tree's shape between
+# rebuilds (before: 21156 and 22962 calls).  Earlier, removals came to leave
+# their leaves at once and rebuilds to wait for twice the live count in
+# removed points, and the second shrink grew from 100 to 120 removals so
+# that it still rebuilds (before that: 23088 and 24952 calls; before splits
+# stopped measuring removed ids: 23228 and 24929).
 _SESSION_CALLS = {
-    0.0: (21156, "5825d4e0eca48a9df7a68bb8ceb1cd010401766049cf5a4d67fb6563290aae86"),
-    0.25: (22962, "52207e7b906025547b6a0df57974097b1ca12d0085485579aa8397bcae122e19"),
+    0.0: (20716, "2510b3be4edb99375c56cd874d5dd2c4741f09dd65fa38492201e987940cf7bb"),
+    0.25: (22472, "45727926b5ada4a6239ff1b3b4a6e2d74122f02832e8fe00060a03f8e1ca42db"),
 }
 
 
@@ -463,9 +588,9 @@ def test_tree_distance_calls_are_pinned(tie_tol):
         return tuple(float(rng.next_below(6)) if rng.next_below(2) else rng.next_unit() * 5.0
                      for _ in range(2))
 
-    # Grow, shrink and regrow: each shrink leaves enough tombstones to
-    # rebuild the tree (more than twice the live count; the second shrink
-    # takes 120 from 170, one rebuild).
+    # Grow, shrink and regrow: each shrink leaves more removed ids than
+    # twice the live count.  The first compacts the ids once, then finds the
+    # tree stale and rebuilds it; the second takes 120 from 170 and rebuilds.
     for op, count in [("insert", 300), ("remove", 280), ("insert", 150),
                       ("remove", 120), ("insert", 60)]:
         for _ in range(count):
@@ -481,8 +606,9 @@ def test_tree_distance_calls_are_pinned(tie_tol):
 # Call count and SHA-256 of every distance(stored, query) call in a 1-D run
 # shaped like the benchmark's churn workload (sine_1d, epsilon 0.001,
 # q 0.5, seed 0): about 1100 live exemplars, half of the steps inserting and
-# half removing, and two rebuilds within the 12,000 steps.
-_CHURN_CALLS = (271254, "e48a5f8008ea146c5ace26ebbcbd91693ab21fb0c5df9bbcc17f9a0fa44bf824")
+# half removing, and two compactions, no rebuild, within the 12,000 steps
+# (before: 271254 calls, when each of the two re-split the tree).
+_CHURN_CALLS = (255995, "3833a2369e98eaeb22728835e7871c8f86d22c0b26bc90647d9ec7277906eee8")
 
 
 def test_tree_distance_calls_are_pinned_on_a_churn_run():

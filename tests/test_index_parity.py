@@ -204,21 +204,35 @@ def test_tombstones_never_decide_an_insert(ops):
 def _assert_leaves_hold_the_live_ids(tree, lin):
     # The tree's live ids, those whose node is live, hold the exemplars the
     # oracle holds.  Each live id sits in exactly one bucket, the one _node
-    # names, or is the vantage point of the internal node _node names.
-    # Buckets hold no removed id, and a removed id that is no vantage point
-    # holds no point.
+    # names, or is the vantage point of the internal node _node names, and
+    # a live internal node's point is its vantage id's point.  Buckets hold
+    # no removed id, and a removed id that is no vantage point holds no
+    # point.  Every point below an internal node, in a bucket or on a
+    # node, lies on the side of it that its distance says: within mu under
+    # inner, else (a NaN distance too) under outer.
     assert len(tree) == len(lin)
     assert stored_outputs(tree) == stored_outputs(lin)
     live = set(live_handles(tree))
     in_bucket = Counter()
     vantages = set()
-    stack = [tree._root]
+    dist = tree._distance
+    stack = [(tree._root, ())]  # a node, and (point, mu, inner?) of each ancestor
     while stack:
-        node = stack.pop()
+        node, sides = stack.pop()
+        if node.bucket is None:
+            below = [node.point]
+        else:
+            below = [tree._points[pid] for pid in node.bucket]
+        for p in below:
+            for vp, mu, inner in sides:
+                assert (dist(vp, p) <= mu) == inner
         if node.bucket is None:
             vantages.add(node.vantage)
             assert tree._node[node.vantage] is node
-            stack += [node.inner, node.outer]
+            if node.live:
+                assert tree._points[node.vantage] is node.point
+            stack += [(node.inner, sides + ((node.point, node.mu, True),)),
+                      (node.outer, sides + ((node.point, node.mu, False),))]
             continue
         for pid in node.bucket:
             assert pid in live
