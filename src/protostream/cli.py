@@ -4,7 +4,8 @@ Exit codes, all decided in ``main``: 0 success; 1 a verification check
 failed (every line was written); 2 configuration or input error, an
 unreadable config file included; 3 any other OSError, from a trace or
 summary file, a trace writer process, a pool that cannot start or loses a
-worker, or stdout.
+worker, or stdout, printed as ``error: {text}``: each raise names in its
+text what failed (``errors.naming_os_error``).
 
 Every run goes through ``experiments.theorem_experiment``, which also
 writes the trace CSV through a forked writer process; the trace format
@@ -26,7 +27,6 @@ exactly when its ``tail_mean_delta`` check passes.
 from __future__ import annotations
 
 import argparse
-import errno
 import math
 import os
 import sys
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, NamedTuple, Optional
 
-from .errors import ConfigError, ProtostreamError
+from .errors import ConfigError, ProtostreamError, naming_os_error
 from .experiments import (  # noqa: F401  (the trace format names are re-exported)
     SERIES_WINDOW,
     STABILIZATION_DELTA,
@@ -281,10 +281,18 @@ def cmd_run(cfg: CliConfig) -> int:
     trace_path = v["output"] or "trace.csv"
     [(config, generator)] = cfg.runs
     report = _drive(v, config, generator, 0, trace_path)
-    print(f"trace written to {trace_path}")
-    for line in report.summary_lines():
-        print(line)
+    _print_lines([f"trace written to {trace_path}", *report.summary_lines()])
     return 0
+
+
+def _print_lines(lines) -> None:
+    """Print ``lines`` to stdout and flush it; an OSError names stdout."""
+    if sys.stdout is None:  # started with stdout closed: print would drop the lines
+        raise OSError("cannot write stdout: it is closed")
+    with naming_os_error("cannot write stdout"):
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
 
 
 # -- sweep ----------------------------------------------------------------
@@ -303,9 +311,12 @@ def _map_tasks(fn, tasks: list, jobs: Optional[int]) -> list:
         # ``run`` and a one-worker map never use it.
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
+        # Leaving the block waits for every task; map has started the workers.
+        with (naming_os_error("cannot start the worker pool"),
+              ProcessPoolExecutor(max_workers=workers) as pool):
+            results = pool.map(fn, *zip(*tasks))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, *zip(*tasks)))
+            return list(results)
         except BrokenExecutor as exc:  # for main an output error (exit 3), not a traceback
             raise OSError(f"a worker process died: {exc}") from None
     return [fn(*task) for task in tasks]
@@ -324,16 +335,18 @@ def _sweep_worker(v: dict, config: LearnerConfig, generator, run_index: int,
 def cmd_sweep(cfg: CliConfig) -> int:
     v = cfg.values
     out_dir = v["output"] or "sweep_out"
-    os.makedirs(out_dir, exist_ok=True)
+    with naming_os_error("cannot create output directory"):
+        os.makedirs(out_dir, exist_ok=True)
     tasks = []
     for run_index, (config, generator) in enumerate(cfg.runs):
         tasks.append((v, config, generator, run_index,
                       os.path.join(out_dir, _trace_name(config))))
     lines = _map_tasks(_sweep_worker, tasks, v["jobs"])
-    with open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="") as fh:
+    with (naming_os_error("cannot write summary file"),
+          open(os.path.join(out_dir, "summary.csv"), "w", encoding="utf-8", newline="") as fh):
         fh.write(SUMMARY_HEADER + "\n")
         fh.writelines(lines)
-    print(f"{len(lines)} runs written under {out_dir}")
+    _print_lines([f"{len(lines)} runs written under {out_dir}"])
     return 0
 
 
@@ -421,33 +434,32 @@ def cmd_verify(cfg: CliConfig) -> int:
     v = cfg.values
     results = _map_tasks(_verify_task, [(v, kind, i) for kind, i in VERIFY_TASKS], v["jobs"])
     ok = True
+    lines = []
     # sorted is stable, and VERIFY_TASKS lists each kind by ascending i.
     for _task, checks in sorted(zip(VERIFY_TASKS, results),
                                 key=lambda done: VERIFY_ORDER.index(done[0][0])):
         for check in checks:
             passed, line = _verdict(*check)
             ok &= passed
-            print(line)
-    print("verify:", "all checks passed" if ok else "some checks FAILED")
+            lines.append(line)
+    lines.append(f"verify: {'all checks passed' if ok else 'some checks FAILED'}")
+    _print_lines(lines)
     return 0 if ok else 1
 
 
 def main(argv=None) -> int:
     # The one place where an outcome becomes an exit code (module docstring).
-    # An OSError, stdout's too, wins over a verdict that was never delivered.
+    # An OSError, stdout's too, wins over a verdict that was never delivered:
+    # each command prints its lines with _print_lines, which flushes stdout.
     try:
         cfg = parse_config(argv)
         # Built at each call: the benchmark tracer replaces these names.
         command = {"run": cmd_run, "sweep": cmd_sweep, "verify": cmd_verify}[cfg.subcommand]
-        code = command(cfg)
-        if sys.stdout is None:  # started with stdout closed: no line went out
-            raise OSError(errno.EBADF, "stdout is closed")
-        sys.stdout.flush()
-        return code
+        return command(cfg)
     except ProtostreamError as exc:
         code, message = 2, f"error: {exc}"
-    except OSError as exc:
-        code, message = 3, f"error: cannot write output: {exc}"
+    except OSError as exc:  # its text names what failed (errors.naming_os_error)
+        code, message = 3, f"error: {exc}"
     if sys.stderr is not None:  # print(file=None) would write to stdout
         try:
             print(message, file=sys.stderr)

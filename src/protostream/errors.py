@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the naming of an OSError."""
+
+from contextlib import contextmanager
 
 
 class ProtostreamError(Exception):
@@ -23,3 +25,16 @@ class PositionOutOfRangeError(ProtostreamError):
 
 class ConfigError(ProtostreamError):
     """Raised for invalid, unknown, or malformed configuration values."""
+
+
+@contextmanager
+def naming_os_error(what: str):
+    """Re-raise an OSError from the block as one whose text begins with ``what``.
+
+    ``cli.main`` prints an OSError's text as it stands, so each raise names
+    what failed: the trace file, the trace writer, the pool or stdout.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise OSError(f"{what}: {exc}") from None

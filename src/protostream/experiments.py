@@ -46,11 +46,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import NoReturn, Optional
 
-from .errors import ConfigError, ProtostreamError
+from .errors import ConfigError, ProtostreamError, naming_os_error
 from .index import INDEX_KINDS, INDEXES, LinearScanIndex
 from .learner import ACTION_BY_DELTA, Action, LearnerConfig, step
 from .metrics import METRICS, MetricDescriptor, TargetFunction
-from .rng import RandomStream, learner_stream_index
+from .rng import RandomStream, learner_stream_index, unit_bound
 from .stats import RunReport, SeriesPoint, WindowStats
 from .streams import generate_stream
 
@@ -141,7 +141,8 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
     Converges to 1 - hit_probability / q.  The model is abstracted to a
     size counter that starts above ``steps`` so it can never empty and
     the hit coin applies at every step; the removal coin is ``step``'s own
-    comparison, ``next_unit() < 1/q - 1``.
+    comparison, ``next_u64() < remove_bound``.  Both coins are integer
+    comparisons with ``unit_bound``, the same draws as ``next_unit() < p``.
     ``removal_probability`` replaces the coin's 1/q - 1, to check that a
     wrong coin fails the identity.
     """
@@ -150,14 +151,14 @@ def growth_identity_experiment(hit_probability: float, q: float, steps: int,
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     config = LearnerConfig(epsilon=1.0, q=q, seed=seed)
-    if removal_probability is None:
-        removal_probability = config.remove_probability
-    rng = RandomStream(seed, learner_stream_index(0))
-    next_unit = rng.next_unit
+    hit_bound = unit_bound(hit_probability)
+    remove_bound = (config.remove_bound if removal_probability is None
+                    else unit_bound(removal_probability))
+    next_u64 = RandomStream(seed, learner_stream_index(0)).next_u64
     delta_total = 0
     for _ in range(steps):
-        if next_unit() < hit_probability:
-            if next_unit() < removal_probability:
+        if next_u64() < hit_bound:
+            if next_u64() < remove_bound:
                 delta_total -= 1
         else:
             delta_total += 1
@@ -203,8 +204,11 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     evaluate = target.evaluate
     # Leaving the block hands the writer every completed step and reaps it,
     # even when a step raises.
-    trace = (_TraceWriter(open(trace_path, "w", encoding="utf-8", newline=""), series_window)
-             if trace_path else nullcontext())
+    trace = nullcontext()
+    if trace_path:
+        with naming_os_error("cannot write trace file"):
+            out = open(trace_path, "w", encoding="utf-8", newline="")
+        trace = _TraceWriter(out, series_window)
     with trace as writer:
         if writer:
             record = writer.records.append
@@ -268,7 +272,8 @@ class _TraceWriter:
         from array import array  # here: an untraced run never loads it
 
         self.records = array("d")
-        with out:  # this process writes nothing to it; the writer owns it
+        # This process writes nothing to ``out``; the writer owns it.
+        with out, naming_os_error("cannot start the trace writer"):
             fds = []
             try:
                 fds += os.pipe()
@@ -306,9 +311,9 @@ class _TraceWriter:
         try:
             while message:
                 message = message[os.write(self._pipe, message):]
-        except BrokenPipeError:  # the writer is gone: its own error says why
+        except BrokenPipeError as exc:  # the writer is gone: its own error says why
             self._reap()
-            raise
+            raise OSError(f"the trace writer stopped reading: {exc}") from None
 
     def _reap(self) -> None:
         """Wait for the writer once; raise its error if it failed."""
@@ -319,8 +324,7 @@ class _TraceWriter:
         with open(self._errors, "rb") as errors:
             message = errors.read().decode()
         if message:
-            number, _, text = message.partition(" ")
-            raise OSError(int(number), text)
+            raise OSError(f"the trace writer failed: {message}")
         code = os.waitstatus_to_exitcode(status)
         if code:
             raise OSError(f"the trace writer died (exit code {code})")
@@ -342,8 +346,8 @@ def _writer_process(source: int, error_sink: int, parent_fds, out,
     It leaves only through ``os._exit``, so it never returns into the run's
     stack or flushes the stdio it inherited.  It ignores SIGINT: a Ctrl-C
     reaches the run too, which sends its completed steps and closes the pipe,
-    and the writer writes them all.  An OSError goes back to the run as
-    ``"<errno> <text>"`` on ``error_sink``.
+    and the writer writes them all.  An OSError goes back to the run as its
+    text on ``error_sink``.
     """
     code = 1
     try:
@@ -364,7 +368,7 @@ def _writer_process(source: int, error_sink: int, parent_fds, out,
                 out.write(text)
         code = 0
     except OSError as exc:
-        os.write(error_sink, f"{exc.errno or 0} {exc.strerror or exc}".encode())
+        os.write(error_sink, str(exc).encode())
     finally:
         os._exit(code)
 

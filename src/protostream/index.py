@@ -6,9 +6,12 @@ exemplars whose distance to the query is within ``tie_tolerance``
 next ``remove``, and ``output(handle)`` and ``remove(handle)`` take it;
 a negative, out-of-range or removed handle raises PositionOutOfRangeError.
 Handles ascend in insertion order, so the k-th handle of a tie set names
-the same exemplar on both backends.  ``LinearScanIndex`` is the reference
-and hands out positions; ``VpTreeIndex`` prunes with the triangle
-inequality, hands out its internal ids, and must return the same
+the same exemplar on both backends.  Both also expose the list they keep
+the outputs in, read-only, as ``outputs``: ``outputs[handle]`` is
+``output(handle)`` for a live handle, without the check, and the learner
+reads it with the handle its query just returned.  ``LinearScanIndex`` is
+the reference and hands out positions; ``VpTreeIndex`` prunes with the
+triangle inequality, hands out its internal ids, and must return the same
 exemplars for any operation sequence that both accept (see below for the
 inserts only the linear scan accepts).
 
@@ -70,6 +73,7 @@ the live points share one dimension.
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 
 from .errors import DimensionMismatchError, EmptyModelError, PositionOutOfRangeError
 from .metrics import MetricDescriptor, euclidean_distance
@@ -80,6 +84,10 @@ _LEAF_CAPACITY = 16
 # itself): computed distances can violate the triangle inequality by a
 # few ulps, and a pruned subtree cannot be recovered later.
 _PRUNE_SLACK = 1e-9
+
+# ``outputs`` of both backends: read-only, and read without a Python call.
+_OUTPUTS = property(attrgetter("_outputs"), doc="The stored outputs by handle; a removed "
+                    "handle's slot of the tree holds None.")
 
 # A far child is pruned when dv < (mu - bound) * (1 - slack) (outer) or
 # dv > (mu + bound) * (1 + slack) (inner), that is when the bound falls
@@ -137,6 +145,8 @@ class LinearScanIndex:
         self._distance, self._mismatch = _resolve(metric)
         self._points: list = []
         self._outputs: list = []
+
+    outputs = _OUTPUTS
 
     def __len__(self) -> int:
         return len(self._points)
@@ -216,6 +226,8 @@ class VpTreeIndex:
         self._node: list = []         # by internal id: its leaf or vantage node, or None
         self._live = 0                # number of live ids
         self._root = _Node([])        # an empty leaf while nothing is stored
+
+    outputs = _OUTPUTS
 
     def __len__(self) -> int:
         return self._live

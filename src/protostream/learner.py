@@ -8,8 +8,11 @@ uniformly sampled nearest exemplar; if its stored output is farther than
 the consulted exemplar itself is removed with probability ``1/q - 1`` and
 kept with probability ``2 - 1/q``.
 
-A step hands the handle it samples to ``output`` and ``remove``; handles
-ascend in insertion order, so a draw picks the same exemplar on both backends.
+A step reads the sampled exemplar's output as ``index.outputs[handle]``
+for the handle its query just returned, and hands that handle to
+``remove``; handles ascend in insertion order, so a draw picks the same
+exemplar on both backends.  A step finds an empty model by its query's
+EmptyModelError, and then inserts: it never asks for the model's size.
 
 Each outcome has its own size change, so a step is recorded by its size
 delta alone: a miss inserts (+1), and a hit removes (-1) or keeps (0).
@@ -17,8 +20,10 @@ delta alone: a miss inserts (+1), and a hit removes (-1) or keeps (0).
 
 Per-step randomness consumption is fixed and part of the reproducibility
 contract: first the tie-break draw(s) of the nearest-set sample, then,
-only on a hit, exactly one unit draw for the removal coin
-``next_unit() < remove_probability``.
+only on a hit, exactly one draw for the removal coin
+``next_unit() < remove_probability``.  The coin is taken as the integer
+comparison ``next_u64() < remove_bound`` (``rng.unit_bound``), which
+passes for exactly the same draws.
 """
 
 from __future__ import annotations
@@ -28,9 +33,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-from .errors import ConfigError
+from .errors import ConfigError, EmptyModelError
 from .metrics import MetricDescriptor
-from .rng import RandomStream, sample_uniform
+from .rng import RandomStream, sample_uniform, unit_bound
 
 
 class Action(Enum):
@@ -71,6 +76,11 @@ class LearnerConfig:
         """Chance that a hit removes the consulted exemplar: 1/q - 1."""
         return 1.0 / self.q - 1.0
 
+    @cached_property
+    def remove_bound(self) -> int:
+        """``unit_bound(remove_probability)``: a hit removes when ``next_u64()`` is below it."""
+        return unit_bound(self.remove_probability)
+
 
 @dataclass(slots=True)
 class StepOutcome:
@@ -101,18 +111,24 @@ def step(index, x, y_true, output_metric: MetricDescriptor, config: LearnerConfi
     An empty index forces an insert (infinite output distance, no hit, no
     randomness consumed).
     """
-    if not len(index):
+    try:
+        candidates = index.query_nearest_set(x, config.tie_tolerance)
+    except EmptyModelError:
         index.insert(x, y_true)
         return StepOutcome(math.inf, +1)
-
-    sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
-    d = output_metric.distance(index.output(sampled), y_true)
+    if len(candidates) == 1:
+        # sample_uniform's one draw for a single candidate, inline.
+        rng.next_u64()
+        sampled = candidates[0]
+    else:
+        sampled = sample_uniform(candidates, rng)
+    d = output_metric.distance(index.outputs[sampled], y_true)
 
     if d > config.epsilon:
         index.insert(x, y_true)
         return StepOutcome(d, +1)
 
-    if rng.next_unit() < config.remove_probability:
+    if rng.next_u64() < config.remove_bound:
         index.remove(sampled)
         return StepOutcome(d, -1)
     return StepOutcome(d, 0)

@@ -21,14 +21,21 @@ zero.  A 64-bit value times a 64-bit constant fits in 128 bits, so no
 carry crosses into the next lane, and one lane mask after each xor-shift
 and each multiply does what ``& _MASK`` does for one value.  The lanes
 are read out of the int's native-order bytes as 64-bit words.  A stream
-holds one block at a time (~11 KB) and computes its first block on its
-first draw, so a stream that never draws costs nothing.  The sequence,
+keeps the wide int of its current block's states (~4 KB) and its draws
+(~11 KB), and computes its first block on its first draw, so a stream that
+never draws costs nothing.  Every later block's states are the previous
+block's plus ``_LANES * GAMMA`` in every lane: one addition and one lane
+mask, where the first block needs a broadcast multiply.  The sequence,
 the draw-count contract and ``state`` are those of computing one output
 at a time with ``_mix``, which the tests keep as the reference.
+
+A coin ``next_unit() < p`` is the integer comparison
+``next_u64() < unit_bound(p)`` on the same single draw.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from itertools import repeat, starmap
 from operator import mul, rshift
@@ -53,6 +60,8 @@ _LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 _LANE_STEPS = int.from_bytes(b"".join(
     (((_LANES - k) * _GAMMA) & _MASK).to_bytes(_LANE_BYTES, "little")
     for k in range(_LANES)), "little")
+# What every lane's state advances by from one block to the next.
+_LANE_ADVANCE = _LANE_ONES * ((_LANES * _GAMMA) & _MASK)
 # The low 64-bit word of every lane, lane 0 first, among a block's native-
 # order words: on a big-endian machine the words come high lane first and
 # high half first.
@@ -92,15 +101,17 @@ class RandomStream:
       [1, 2**64] raises ConfigError and draws nothing.
     """
 
-    __slots__ = ("_end", "_block")
+    __slots__ = ("_end", "_lanes", "_block")
 
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise ConfigError(f"seed and stream index must be nonnegative integers, "
                               f"got seed {seed}, stream {stream}")
-        # The state after the last draw of the current block, and the
+        # The state after the last draw of the current block, the block's
+        # states in their lanes (None before the first block), and the
         # block's draws not yet handed out, last draw first.
         self._end = _mix((seed + (stream + 1) * _GAMMA) & _MASK)
+        self._lanes = None
         self._block = []
 
     @property
@@ -116,7 +127,14 @@ class RandomStream:
 
     def _refill(self) -> list:
         """Compute the next ``_LANES`` draws into ``self._block``."""
-        z = (self._end * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
+        z = self._lanes
+        if z is None:
+            z = self._end * _LANE_ONES + _LANE_STEPS
+        else:
+            # A state plus the advance fits in 65 bits: no carry crosses
+            # into the next lane.
+            z += _LANE_ADVANCE
+        self._lanes = z = z & _LANE_MASK
         self._end = (self._end + _LANES * _GAMMA) & _MASK
         z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
         z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
@@ -147,6 +165,21 @@ class RandomStream:
         while u >= limit:
             u = self.next_u64()
         return u % m
+
+
+def unit_bound(p: float) -> int:
+    """The integer ``T`` for which ``next_u64() < T`` exactly when ``next_unit() < p``.
+
+    ``next_unit()`` is ``(u >> 11) * 2**-53``, an exact multiple of 2**-53,
+    so it is below ``p`` exactly when ``u >> 11`` is below ``ceil(p * 2**53)``
+    (scaling by a power of two is exact).  0 for NaN and for ``p <= 0``,
+    which no draw passes; ``2**64`` above 1, which every draw passes.
+    """
+    if not p > 0.0:
+        return 0
+    if p > 1.0:
+        return 1 << 64
+    return math.ceil(p * 2.0 ** 53) << 11
 
 
 def sample_uniform(candidates, rng: RandomStream):

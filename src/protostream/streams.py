@@ -12,8 +12,9 @@ for IidUniform and RandomWalk, the lattice size for GridSweep), and a
 against the size once (``check_length``) and returns a ``StreamView``:
 an iteration draws its points as it goes, and every iteration replays
 the same points from ``(seed, stream)``.  IidUniform draws ahead by at
-most ``_CHUNK`` (256) points, whose coordinates it computes at once;
-RandomWalk draws each point when the iteration reaches it.
+most ``_CHUNK`` (256) points, whose coordinates it computes at once, and
+chains the chunks' zips in C, so no Python frame runs between two points
+of a chunk; RandomWalk draws each point when the iteration reaches it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from operator import add, mul
 
 from .errors import ConfigError
@@ -71,13 +72,17 @@ class IidUniform:
         units = RandomStream(self.seed, self.stream).next_units
         boxes = [(lo, hi - lo) for lo, hi in self.bounds]
         d = len(boxes)
-        while length > 0:
-            n = min(_CHUNK, length)
-            length -= n
+
+        def chunk(n: int):
             u = units(n * d)
             # Column j holds coordinate j of the chunk's points.
-            yield from zip(*[map(add, repeat(lo), map(mul, u[j::d], repeat(width)))
-                             for j, (lo, width) in enumerate(boxes)])
+            return zip(*[map(add, repeat(lo), map(mul, u[j::d], repeat(width)))
+                         for j, (lo, width) in enumerate(boxes)])
+
+        # The chunks' zips, chained in C: no Python frame resumes per point.
+        full, rest = divmod(max(length, 0), _CHUNK)
+        sizes = chain(repeat(_CHUNK, full), [rest] if rest else [])
+        return chain.from_iterable(map(chunk, sizes))
 
 
 # The most lattice points a GridSweep may hold: its whole lattice is built

@@ -197,8 +197,8 @@ def test_run_raises_the_trace_writers_own_error(steps, capsys):
     if not os.path.exists("/dev/full"):
         pytest.skip("needs /dev/full")
     assert main(["run", "--steps", steps, "--output", "/dev/full"]) == 3
-    assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.ENOSPC}] "
-                                       f"{os.strerror(errno.ENOSPC)}\n")
+    assert capsys.readouterr().err == ("error: the trace writer failed: "
+                                       f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 # 5000 steps: the writer dies after the run sent its last batch.  20000
@@ -217,7 +217,7 @@ def test_run_whose_trace_writer_dies_exits_three(steps, monkeypatch, tmp_path, c
     assert main(["run", "--steps", steps, "--output", str(tmp_path / "t.csv")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err == "error: cannot write output: the trace writer died (exit code 9)\n"
+    assert err == "error: the trace writer died (exit code 9)\n"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -233,8 +233,8 @@ def test_run_whose_trace_writer_cannot_fork_exits_three(monkeypatch, tmp_path, c
     before = open_fds()
     monkeypatch.setattr(os, "fork", no_fork)
     assert main(["run", "--steps", "10", "--output", str(tmp_path / "t.csv")]) == 3
-    assert capsys.readouterr().err == (f"error: cannot write output: [Errno {errno.EAGAIN}] "
-                                       f"{os.strerror(errno.EAGAIN)}\n")
+    assert capsys.readouterr().err == ("error: cannot start the trace writer: "
+                                       f"[Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n")
     assert open_fds() == before
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -275,7 +275,7 @@ def test_run_whose_stdout_fails_exits_three(command, stdout, tmp_path):
     assert done.returncode == 3, done.stderr
     assert "Traceback" not in done.stderr
     [line] = done.stderr.splitlines()
-    assert line.startswith("error: cannot write output"), line
+    assert line.startswith("error: cannot write stdout"), line
 
 
 @pytest.mark.parametrize("stderr", ["full", "closed"])
@@ -461,7 +461,7 @@ def test_verify_whose_verdict_cannot_be_written_exits_three(jobs, monkeypatch, c
     monkeypatch.setattr(sys, "stdout", _FullDevice())
     assert main(FAST_VERIFY + ["--jobs", jobs]) == 3
     err = capsys.readouterr().err
-    assert err == (f"error: cannot write output: [Errno {errno.ENOSPC}] "
+    assert err == (f"error: cannot write stdout: [Errno {errno.ENOSPC}] "
                    f"{os.strerror(errno.ENOSPC)}\n")
 
 

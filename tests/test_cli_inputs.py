@@ -4,6 +4,7 @@ Whatever stdout and stderr turn out to be, every command ends in a defined exit 
 """
 
 import concurrent.futures
+import errno
 import itertools
 import math
 import os
@@ -276,7 +277,18 @@ def test_dead_pool_worker_is_an_output_error(monkeypatch, capsys):
     monkeypatch.setattr(cli, "_verify_task", _die)
     assert cli.main(_TINY_VERIFY + ["--jobs", "2"]) == 3
     [line] = capsys.readouterr().err.splitlines()
-    assert line.startswith("error: cannot write output: a worker process died"), line
+    assert line.startswith("error: a worker process died"), line
+
+
+def test_pool_that_cannot_start_is_named(monkeypatch, capsys):
+    # An OSError from starting the pool names the pool, not an output.
+    def no_pool(max_workers):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert cli.main(_TINY_VERIFY + ["--jobs", "2"]) == 3
+    assert capsys.readouterr().err == ("error: cannot start the worker pool: "
+                                       f"[Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}\n")
 
 
 # A fresh interpreter whose verify loses one pool worker mid-run; it exits
@@ -310,7 +322,7 @@ def test_dead_pool_worker_in_a_fresh_interpreter(tmp_path):
                           capture_output=True, text=True, timeout=120, cwd=tmp_path)
     assert done.returncode == 3, done.stderr
     [line] = done.stderr.splitlines()
-    assert line.startswith("error: cannot write output: a worker process died"), line
+    assert line.startswith("error: a worker process died"), line
     assert "Traceback" not in done.stdout + done.stderr
 
 

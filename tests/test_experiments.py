@@ -34,7 +34,7 @@ from protostream.experiments import (
 from protostream.index import INDEX_KINDS
 from protostream.learner import LearnerConfig
 from protostream.metrics import METRICS, TARGETS, TargetFunction
-from protostream.rng import points_stream_index
+from protostream.rng import RandomStream, learner_stream_index, points_stream_index
 from protostream.stats import SeriesPoint, WindowStats
 from protostream.streams import STREAM_KINDS, GridSweep, IidUniform, RandomWalk
 
@@ -61,6 +61,37 @@ def test_growth_exact_corners():
 def test_growth_interior_cell():
     measured = growth_identity_experiment(0.6, 0.75, 100_000, seed=6)
     assert abs(measured - 0.2) <= 0.01
+
+
+@pytest.mark.parametrize("q", [0.5, 0.9])
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+def test_growth_integer_coins_draw_what_float_coins_drew(p, q, monkeypatch):
+    # The experiment's coins compare next_u64() with unit_bound; a loop of
+    # next_unit() coins must take the same draws, so both end on the same
+    # mean delta and leave the stream in the same state.
+    streams = []
+
+    class Recorded(RandomStream):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            streams.append(self)
+
+    monkeypatch.setattr(experiments, "RandomStream", Recorded)
+    steps, seed = 3000, 11
+    measured = growth_identity_experiment(p, q, steps, seed)
+    ref = RandomStream(seed, learner_stream_index(0))
+    delta_total = 0
+    for _ in range(steps):
+        if ref.next_unit() < p:
+            if ref.next_unit() < 1.0 / q - 1.0:
+                delta_total -= 1
+        else:
+            delta_total += 1
+    [stream] = streams
+    assert measured == delta_total / steps
+    assert stream.state == ref.state
 
 
 def test_growth_rejects_bad_probability():

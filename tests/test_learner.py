@@ -1,5 +1,6 @@
 """Core update rule: hit/miss branches, removal coin, trace invariants."""
 
+import collections
 import itertools
 import math
 
@@ -9,7 +10,7 @@ from protostream.errors import ConfigError, EmptyCandidatesError, EmptyModelErro
 from protostream.index import INDEX_KINDS, INDEXES, LinearScanIndex, VpTreeIndex
 from protostream.learner import Action, LearnerConfig, predict, step
 from protostream.metrics import METRICS
-from protostream.rng import RandomStream, learner_stream_index
+from protostream.rng import RandomStream, learner_stream_index, sample_uniform
 
 from handles import nearest_outputs, stored_outputs
 
@@ -211,6 +212,55 @@ def test_step_with_a_nan_point_has_no_candidate(kind):
         step(index, (math.nan,), 0.0, ABSDIFF, LearnerConfig(epsilon=0.5, q=0.75), rng)
     assert rng.state == ref.state
     assert len(index) == 40
+
+
+def _float_coin_step(index, x, y_true, config, rng):
+    # The rule as it read before step lost its calls: a size probe, the
+    # sample_uniform helper, the checked output accessor and the float coin
+    # next_unit() < remove_probability.  Returns (output distance, delta).
+    if not len(index):
+        index.insert(x, y_true)
+        return math.inf, +1
+    sampled = sample_uniform(index.query_nearest_set(x, config.tie_tolerance), rng)
+    d = ABSDIFF.distance(index.output(sampled), y_true)
+    if d > config.epsilon:
+        index.insert(x, y_true)
+        return d, +1
+    if rng.next_unit() < config.remove_probability:
+        index.remove(sampled)
+        return d, -1
+    return d, 0
+
+
+@pytest.mark.parametrize("tie_tolerance", [0.0, 0.1])
+@pytest.mark.parametrize("kind", INDEX_KINDS)
+def test_step_draws_what_the_float_coin_rule_drew(kind, tie_tolerance, monkeypatch):
+    # Every draw is counted through a wrapped next_u64, as the benchmark
+    # tracer counts them.  Coarse inputs make ties of several exemplars, and
+    # at q = 0.55 the model empties now and then.
+    draws = collections.Counter()
+    next_u64 = RandomStream.next_u64
+
+    def counted(stream):
+        draws[stream] += 1
+        return next_u64(stream)
+
+    monkeypatch.setattr(RandomStream, "next_u64", counted)
+    config = LearnerConfig(epsilon=0.4, q=0.55, tie_tolerance=tie_tolerance)
+    index, ref_index = INDEXES[kind](EUCLID), INDEXES[kind](EUCLID)
+    rng, ref = RandomStream(9, 0), RandomStream(9, 0)
+    source = RandomStream(9, 1)
+    seen = collections.Counter()
+    for _ in range(3000):
+        x, y = (source.next_below(24) / 8.0,), source.next_unit()
+        ties = len(ref_index) and len(ref_index.query_nearest_set(x, tie_tolerance))
+        expected = _float_coin_step(ref_index, x, y, config, ref)
+        outcome = step(index, x, y, ABSDIFF, config, rng)
+        assert (outcome.output_distance, outcome.size_delta) == expected
+        assert draws[rng] == draws[ref] and rng.state == ref.state
+        seen[outcome.action] += 1
+        seen["empty" if not ties else "tie" if ties > 1 else "single"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_forced_hits_remove_frequency_tracks_q():

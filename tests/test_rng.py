@@ -1,6 +1,7 @@
 """Deterministic generator: reference vectors, draw accounting, sampling."""
 
 import hashlib
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from protostream.rng import (
     learner_stream_index,
     points_stream_index,
     sample_uniform,
+    unit_bound,
 )
 
 # Reference C implementation outputs for state 0 (first three draws).
@@ -221,3 +223,28 @@ def test_block_draws_match_the_scalar_reference(seed, stream, calls, skip):
                 u = ref_u64()
             assert rng.next_below(m) == u % m
         assert rng.state == (s0 + k * _GAMMA) & _MASK
+
+
+# Probabilities at the edges of unit_bound: signed zeros, subnormals, the
+# smallest and largest units, 1 and the floats next to it, values above 1,
+# the infinities and NaN.
+_EDGE_PS = (0.0, -0.0, 5e-324, 2.0**-1074 * 3, 2.0**-1022, 2.0**-1022 * (1 - 2.0**-52),
+            2.0**-53, 2.0**-53 * 1.5, 2.0**-52, 0.25, 0.5, 1.0 - 2.0**-53, 1.0 - 2.0**-54,
+            1.0, 1.0 + 2.0**-52, 2.0, 1e308, -1e-300, -1.0, math.inf, -math.inf, math.nan)
+_PS = st.one_of(st.sampled_from(_EDGE_PS),
+                st.floats(min_value=0.0, max_value=2.0**-1022),  # subnormals
+                st.floats(min_value=0.0, max_value=1.0),
+                st.floats())  # any float: negative, above 1, infinite, NaN
+
+
+@given(p=_PS, u=st.integers(0, _MASK))
+@settings(max_examples=500, deadline=None)
+def test_unit_bound_is_exact(p, u):
+    # next_u64() < unit_bound(p) holds for exactly the draws where
+    # next_unit() < p: at the bound, at its neighbours one draw and one
+    # unit (2**11 draws) away, at both ends of the range and at random.
+    t = unit_bound(p)
+    assert 0 <= t <= 1 << 64 and t % 2048 == 0
+    for draw in (0, t - 2048, t - 1, t, t + 2047, t + 2048, _MASK, u):
+        if 0 <= draw <= _MASK:
+            assert ((draw >> 11) * 2.0**-53 < p) == (draw < t), (p, t, draw)
