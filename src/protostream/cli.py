@@ -13,8 +13,8 @@ writes the trace CSV through a forked writer process; the trace format
 and is re-exported here.
 
 ``sweep`` and ``verify`` run their independent experiments through one
-pool helper, ``_map_tasks``: ``--jobs`` worker processes (default: the CPU
-count; never more than there are tasks), or this process alone at
+pool helper, ``_map_tasks``: ``--jobs`` worker processes (default: the
+usable CPUs; never more than there are tasks), or this process alone at
 ``--jobs 1``.  Results are collected in task order, so the output does not
 depend on ``jobs``.  ``concurrent.futures`` is imported only when a pool
 starts, so ``run`` and ``--jobs 1`` never load it.
@@ -112,7 +112,7 @@ KEYS = {
     "q_list": _Key(_float_list, None, ("sweep",)),
     "epsilon_list": _Key(_float_list, None, ("sweep",)),
     "seed_list": _Key(_int_list, None, ("sweep",)),
-    "jobs": _Key(int, None, ("sweep", "verify"), help="worker processes (default: CPU count)",
+    "jobs": _Key(int, None, ("sweep", "verify"), help="worker processes (default: usable CPUs)",
                  count=True),
     "branch_trials": _Key(int, 100_000, ("verify",), count=True),
     "miss_trials": _Key(int, 10_000, ("verify",), count=True),
@@ -301,11 +301,12 @@ def _print_lines(lines) -> None:
 def _map_tasks(fn, tasks: list, jobs: Optional[int]) -> list:
     """``[fn(*task) for task in tasks]``, in worker processes when ``jobs`` > 1.
 
-    ``jobs`` None means the CPU count.  Results come back in task order, and
+    ``jobs`` None means the usable CPUs.  Results come back in task order, and
     the pool gets no more workers than tasks: under fork every worker starts
     at once.  Tasks are handed out in list order, so put the longest first.
     """
-    workers = min(jobs or os.cpu_count() or 1, len(tasks))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(jobs or usable or 1, len(tasks))
     if workers > 1:
         # Imported here: it is a large share of the package's import time, and
         # ``run`` and a one-worker map never use it.

@@ -32,23 +32,26 @@ candidate, which it returns after the band test without a sort.
 A removal releases the id's point and output at once and takes a leaf id
 out of its leaf, so leaves hold only live ids and a query never measures a
 removed leaf point.  A removed vantage point stays on its node, which is
-marked no longer live, and still partitions the points below.  Every
-removed id keeps its slot in the per-id lists until the removed ids holding
-a slot outnumber twice the live count, so the tree's storage stays within
-three times the live count, not the number of points ever inserted.  Then
-a compaction renumbers the ids that still have a node, the live ones and
-the removed vantage points, in the same order, drops every other slot and
-remaps the buckets and vantage ids in place.  It measures no distance and
-leaves the tree's shape as it is.  A stale tree is rebuilt from its live
-points instead.  It is stale when it has more leaves than half the live
-count, or a leaf deeper than twice the bit length of
+marked no longer live, and still partitions the points below; its id, like
+any removed id, names no node.  Every removed id keeps its slot in the
+per-id lists until the removed ids holding a slot outnumber twice the live
+count, so the tree's storage stays within three times the live count, not
+the number of points ever inserted.  Then one renumbering keeps the live
+ids, in the same order, and drops every other slot.  A compaction then
+remaps the buckets and vantage ids the kept ids name, in place: it measures
+no distance and leaves the tree's shape as it is.  A stale tree is rebuilt
+from the renumbered ids instead.  It is stale when it has more leaves than
+half the live count, or a leaf deeper than twice the bit length of
 ``live // _LEAF_CAPACITY``: the depth test of a scapegoat tree (Galperin
-and Rivest, SODA 1993), applied to the whole tree.  A tree has one leaf
-more than it has internal nodes, so a compaction keeps fewer removed
-vantage points than half the live count, and the next compaction or
-rebuild comes more removals later than the live count it meets.  Amortized,
-each removal pays O(1) for compactions and O(log n) distance calls for
-rebuilds.
+and Rivest, SODA 1993), applied to the whole tree.  The tree counts its
+leaves and its deepest leaf as it splits, so the test is O(1).  No removed
+id survives a trigger, so the next one comes more removals later than
+twice the live count it meets.  Amortized, each removal pays O(1) for
+compactions and O(log n) distance calls for rebuilds.  Inserts alone, such
+as a drifting stream's, can deepen the tree too: an insert whose split
+pushes the deepest leaf past twice the bit length of the live count (about
+eight levels above the stale test's bound) re-splits the tree from its live
+ids without renumbering them, so every handle stays valid.
 
 Candidate distances are always evaluated as ``distance(stored, query)``
 in both backends, so tie comparisons at tolerance 0 are bit-exact.  Under
@@ -179,17 +182,18 @@ class _Node:
     place, and a rebuild builds new nodes; neither replaces a point object,
     so ``point`` never goes stale.  Inner holds the points
     with ``d(point, p) <= mu``, outer every other one, NaN distances included.
-    An internal node is ``live`` until its vantage point is removed; a leaf
-    is always ``live``.  A leaf splits once its bucket outgrows ``cap``.  A
-    split that cannot separate the bucket (every point at one distance from
-    the vantage, or a NaN median) doubles the leaf's ``cap``, so the next
-    attempt waits until the bucket has doubled instead of coming at every
-    insert.
+    An internal node is ``live`` until its vantage point is removed; then it
+    keeps ``point`` to route by, and ``vantage`` names no id any more.  A
+    leaf is always ``live``.  ``depth`` counts the edges from the root.  A
+    leaf splits once its bucket outgrows ``cap``.  A split that cannot
+    separate the bucket (every point at one distance from the vantage, or a
+    NaN median) doubles the leaf's ``cap``, so the next attempt waits until
+    the bucket has doubled instead of coming at every insert.
     """
 
-    __slots__ = ("vantage", "point", "live", "mu", "inner", "outer", "bucket", "cap")
+    __slots__ = ("vantage", "point", "live", "mu", "inner", "outer", "bucket", "cap", "depth")
 
-    def __init__(self, bucket):
+    def __init__(self, bucket, depth=0):
         self.vantage = -1
         self.point = None
         self.live = True
@@ -198,6 +202,7 @@ class _Node:
         self.outer = None
         self.bucket = bucket
         self.cap = _LEAF_CAPACITY
+        self.depth = depth
 
 
 class VpTreeIndex:
@@ -206,17 +211,17 @@ class VpTreeIndex:
     Inserts descend by the stored split radii, so the partition invariant
     (inner holds exactly the points with d(vantage, p) <= mu) survives
     mutation.  Points get increasing internal ids, the handles the tree
-    hands out.  ``_node`` names each id's node: the leaf that holds it, or
-    the internal node whose vantage point it is.  Removal takes the id out
-    of its leaf and clears its ``_node`` entry, or clears its internal
-    node's ``live``, so an id is live exactly when its node is not None and
-    ``live``.  Whenever the removed ids still holding a slot,
-    ``len(_points) - _live``, exceed twice the live count, ``_compact``
-    walks the tree once: it keeps the ids that have a node, renumbered in
-    order, and drops the others, or rebuilds a stale tree from its live
-    points, renumbered to ``0..n-1`` in order (see the module docstring).
-    So ``len(_points)`` never exceeds three times the live count, and the
-    order of handles, hence every tie order, is unchanged by either.
+    hands out.  ``_node`` names each live id's node: the leaf that holds
+    it, or the internal node whose vantage point it is; a removed id's entry
+    is None, so an id is live exactly when its node is not None.  Whenever
+    the removed ids still holding a slot, ``len(_points) - _live``, exceed
+    twice the live count, ``_compact`` keeps the live ids, renumbered to
+    ``0..n-1`` in order, and drops every other slot; it then remaps the
+    nodes the kept ids name, or rebuilds a stale tree from them (see the
+    module docstring).  So ``len(_points)`` never exceeds three times the
+    live count, and the order of handles, hence every tie order, is
+    unchanged.  ``_leaves`` and ``_deepest`` count the tree's leaves and
+    the depth of its deepest leaf, so the stale test walks nothing.
     """
 
     def __init__(self, metric: MetricDescriptor):
@@ -226,6 +231,7 @@ class VpTreeIndex:
         self._node: list = []         # by internal id: its leaf or vantage node, or None
         self._live = 0                # number of live ids
         self._root = _Node([])        # an empty leaf while nothing is stored
+        self._leaves, self._deepest = 1, 0  # the tree's leaf count and deepest leaf
 
     outputs = _OUTPUTS
 
@@ -234,8 +240,7 @@ class VpTreeIndex:
 
     def output(self, handle: int):
         node_of = self._node
-        node = node_of[handle] if 0 <= handle < len(node_of) else None
-        if node is None or not node.live:
+        if not 0 <= handle < len(node_of) or node_of[handle] is None:
             raise PositionOutOfRangeError(f"handle {handle} names no live exemplar")
         return self._outputs[handle]
 
@@ -257,6 +262,7 @@ class VpTreeIndex:
             bucket = node.bucket
             bucket.append(pid)
             if len(bucket) > node.cap:
+                deepest = self._deepest
                 try:
                     self._split(node)
                 except Exception:
@@ -268,6 +274,10 @@ class VpTreeIndex:
                     self._outputs.pop()
                     self._node.pop()
                     raise
+                # A split that pushes the deepest leaf past this bound re-splits
+                # the tree, keeping every id (see the module docstring).
+                if deepest <= 2 * self._live.bit_length() < self._deepest:
+                    self._rebuild()
         except self._mismatch as exc:
             raise _dimension_error(exc) from None
         self._live += 1
@@ -279,66 +289,47 @@ class VpTreeIndex:
         # not split a root leaf: it cannot raise.
         self.output(handle)  # raises PositionOutOfRangeError unless the handle is live
         node = self._node[handle]
+        self._node[handle] = None
         if node.bucket is None:
             # The vantage point stays on its node: descents still measure it.
             node.live = False
         else:
             node.bucket.remove(handle)
-            self._node[handle] = None
         self._points[handle] = self._outputs[handle] = None
         self._live = live = self._live - 1
         if len(self._points) - live > 2 * live:
             self._compact()
 
     def _compact(self) -> None:
-        # One walk finds every node, the leaf count and the deepest leaf.
-        live = self._live
-        nodes = []
-        leaves = deepest = 0
-        stack = [(self._root, 0)]
-        while stack:
-            node, depth = stack.pop()
-            nodes.append(node)
-            if node.bucket is None:
-                stack.append((node.inner, depth + 1))
-                stack.append((node.outer, depth + 1))
-            else:
-                leaves += 1
-                if depth > deepest:
-                    deepest = depth
-        if 2 * leaves > live or deepest > 2 * (live // _LEAF_CAPACITY).bit_length():
-            self._rebuild()
-            return
-        # Keep the ids that still have a node, live ones and removed vantage
-        # points, renumbered in order; the tree keeps its shape and points.
+        # Keep the live ids, renumbered in order, and drop every other slot.
         node_of, pts, outputs = self._node, self._points, self._outputs
         kept = [i for i, node in enumerate(node_of) if node is not None]
-        new_id = {old: new for new, old in enumerate(kept)}
-        for node in nodes:
+        self._points = [pts[i] for i in kept]
+        self._outputs = [outputs[i] for i in kept]
+        self._node = nodes = [node_of[i] for i in kept]
+        live = self._live
+        if 2 * self._leaves > live or self._deepest > 2 * (live // _LEAF_CAPACITY).bit_length():
+            self._rebuild()
+            return
+        # The tree keeps its shape and points: only the nodes the kept ids
+        # name change, and a bucket keeps its order.
+        new_id = dict(zip(kept, range(live)))
+        for node in dict.fromkeys(nodes):
             if node.bucket is None:
                 node.vantage = new_id[node.vantage]
             else:
                 node.bucket = [new_id[i] for i in node.bucket]
-        self._points = [pts[i] for i in kept]
-        self._outputs = [outputs[i] for i in kept]
-        self._node = [node_of[i] for i in kept]
 
     def _rebuild(self) -> None:
-        # Leaves are always live, so an id is live while its node is.
-        ids = [i for i, node in enumerate(self._node) if node is not None and node.live]
-        pts, outputs = self._points, self._outputs
-        self._points = [pts[i] for i in ids]
-        self._outputs = [outputs[i] for i in ids]
-        n = len(ids)
-        root = _Node(list(range(n)))
-        self._node = [root] * n
-        old, self._root = self._root, root
-        if old.bucket is not None:
+        # Re-split the tree from its live ids, keeping their numbers.
+        root = _Node([i for i, node in enumerate(self._node) if node is not None])
+        if self._root.bucket is not None:
             # A root leaf already holds every live id within its cap, and
-            # some of them no split has measured.
-            root.cap = old.cap
-        elif n > _LEAF_CAPACITY:
-            self._split(root)
+            # some of them no split has measured: it stays unsplit.
+            root.cap = self._root.cap
+        self._root = root
+        self._leaves, self._deepest = 1, 0
+        self._split(root)
 
     def _split(self, node: _Node) -> None:
         # Iteratively split oversized leaves; a leaf whose points all sit
@@ -376,9 +367,12 @@ class VpTreeIndex:
             leaf.vantage = vantage
             leaf.point = vp
             leaf.mu = mu
-            leaf.inner = _Node(inner)
-            leaf.outer = _Node(outer)
+            depth = leaf.depth + 1
+            leaf.inner = _Node(inner, depth)
+            leaf.outer = _Node(outer, depth)
             leaf.bucket = None
+            self._leaves += 1
+            self._deepest = max(self._deepest, depth)
             stack.append(leaf.inner)
             stack.append(leaf.outer)
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import repeat, starmap
-from operator import mul, rshift
 
 from .errors import ConfigError, EmptyCandidatesError
 
@@ -150,9 +148,9 @@ class RandomStream:
         return (self.next_u64() >> 11) * _UNIT
 
     def next_units(self, n: int) -> list:
-        """``n`` floats of ``next_unit``, their arithmetic done in C."""
-        return list(map(mul, map(rshift, starmap(self.next_u64, repeat((), n)), repeat(11)),
-                        repeat(_UNIT)))
+        """``n`` floats of ``next_unit``, in one comprehension."""
+        next_u64 = self.next_u64
+        return [(next_u64() >> 11) * _UNIT for _ in range(n)]
 
     def next_below(self, m: int) -> int:
         """Uniform integer in [0, m) via rejection; no modulo bias."""

@@ -12,9 +12,8 @@ from protostream.index import VpTreeIndex
 def live_handles(idx) -> list[int]:
     """The live handles of ``idx``, ascending, which is insertion order."""
     if isinstance(idx, VpTreeIndex):
-        # An id is live while its node is: a removed leaf id has no node,
-        # and a removed vantage point's node is no longer live.
-        return [h for h, node in enumerate(idx._node) if node is not None and node.live]
+        # An id is live exactly when it has a node.
+        return [h for h, node in enumerate(idx._node) if node is not None]
     return list(range(len(idx)))
 
 

@@ -245,6 +245,21 @@ def test_sweep_never_asks_for_more_workers_than_runs(q_list, expected, recording
     assert recording_pool.created == expected
 
 
+@pytest.mark.parametrize("usable, expected", [({0}, []), ({0, 2, 5}, [3]), (None, [8])])
+def test_default_workers_are_the_usable_cpus(usable, expected, recording_pool, monkeypatch):
+    # Without --jobs a map gets one worker per CPU the process may run on,
+    # not per CPU of the machine; where the affinity cannot be read, the
+    # CPU count stands in.  One usable CPU runs the map in-process.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    if usable is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(usable), raising=False)
+    assert cli._map_tasks(lambda k: k * k, [(k,) for k in range(8)], None) == [
+        k * k for k in range(8)]
+    assert recording_pool.created == expected
+
+
 _TINY_VERIFY = ["verify", "--branch-trials", "2000", "--miss-trials", "100",
                 "--growth-steps", "2000", "--theorem-steps", "300", "--tail-window", "100"]
 

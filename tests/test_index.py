@@ -410,8 +410,8 @@ def test_discrete_run_costs_the_tree_no_more_than_a_linear_scan():
 def test_churn_rebuilds_rarely(monkeypatch):
     # 10,000 insert/remove pairs at a steady 1000 live points: a compaction
     # waits until the removed ids still holding a slot exceed twice the live
-    # count, and keeps fewer than half the live count of them, so one comes
-    # every 1500 to 2000 removals; a tree this steady is never rebuilt.
+    # count, and keeps none of them, so one comes every 2001 removals; a
+    # tree this steady is never rebuilt.
     rebuilds = 0
     rebuild = VpTreeIndex._rebuild
 
@@ -501,20 +501,21 @@ def _triggered_session(monkeypatch, points, rounds, rng, oracle=False):
 
 
 def _assert_triggers_amortized(triggers):
-    # A compaction keeps fewer removed vantage ids than half the live count,
-    # so each trigger comes more removals after the one before than the live
-    # count it meets: compactions plus rebuilds number at most
-    # removals / live + 1, the live count taken at the triggers.
+    # A compaction or rebuild keeps no removed id, so each trigger comes more
+    # removals after the one before than twice the live count it meets:
+    # compactions plus rebuilds number at most removals / (2 * live) + 1, the
+    # live count taken at the triggers.
     for live, _, removals, _, _ in triggers:
-        assert removals > live
+        assert removals > 2 * live
 
 
 def test_steady_churn_compacts_without_rebuilding(monkeypatch):
-    # 10,000 insert/remove pairs at 1000 live points, each pair followed by a
-    # query that must match the linear scan's.
+    # 12,000 insert/remove pairs at 1000 live points, each pair followed by a
+    # query that must match the linear scan's: a trigger every 2,001
+    # removals.
     rng = RandomStream(32, 0)
     points = iter(lambda: _random_point(rng, 2), None)
-    tree, triggers = _triggered_session(monkeypatch, points, [(1000, 0)] + [(1, 1)] * 10_000,
+    tree, triggers = _triggered_session(monkeypatch, points, [(1000, 0)] + [(1, 1)] * 12_000,
                                         rng, oracle=True)
     assert len(triggers) >= 5
     assert not any(rebuilt for _, rebuilt, _, _, _ in triggers)
@@ -547,6 +548,36 @@ def test_drifting_points_keep_the_tree_shallow(monkeypatch):
     _assert_triggers_amortized(triggers)
 
 
+def test_drifting_inserts_keep_the_tree_shallow_and_the_handles():
+    # 10,000 inserts along a random walk, with no removal to trigger a
+    # compaction, would leave a leaf ~150 deep: a split that pushes the
+    # deepest leaf past twice the bit length of the live count re-splits
+    # the tree without renumbering.  The handles taken before the inserts,
+    # where removed ids still hold slots, keep naming their outputs.
+    rng = RandomStream(35, 0)
+    tree, lin = VpTreeIndex(EUCLID), LinearScanIndex(EUCLID)
+    for tag in range(300):
+        p = _random_point(rng, 2)
+        for idx in (tree, lin):
+            idx.insert(p, tag)
+    for _ in range(100):
+        k = rng.next_below(len(lin))
+        tree.remove(live_handles(tree)[k])
+        lin.remove(k)
+    before = {h: tree.output(h) for h in live_handles(tree)}
+    assert len(tree._points) == 300 and len(before) == 200
+    for tag, p in enumerate(RandomWalk(0.05, ((0.0, 10.0),) * 2, 35, 1).points(10_000), 300):
+        for idx in (tree, lin):
+            idx.insert(p, tag)
+    assert {h: tree.output(h) for h in before} == before
+    assert len(tree._points) == 10_300
+    _, deepest = _tree_shape(tree)
+    assert deepest == tree._deepest <= 2 * len(tree).bit_length()
+    for _ in range(20):
+        x = _random_point(rng, 2)
+        assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
+
+
 def test_other_metrics_errors_pass_through():
     # Only euclidean_distance itself is resolved to math.dist; a metric
     # that calls math.dist on its own keeps its ValueError.
@@ -559,16 +590,20 @@ def test_other_metrics_errors_pass_through():
 
 # Call count and SHA-256 of every distance(stored, query) call the tree
 # made in the session below: a change to the descent must make the same
-# calls.  Taken once a removal trigger compacted the ids of a tree that was
+# calls.  Taken once a compaction came to keep only the live ids, dropping
+# the removed vantage points' slots too, so that the triggers come later:
+# the shrinks rebuild at 32 and 60 live, not 37 and 62 (before: 20716 and
+# 22472 calls).
+# Earlier, a removal trigger came to compact the ids of a tree that was
 # not stale instead of re-splitting it, which keeps the tree's shape between
-# rebuilds (before: 21156 and 22962 calls).  Earlier, removals came to leave
+# rebuilds (before that: 21156 and 22962 calls).  Earlier, removals came to leave
 # their leaves at once and rebuilds to wait for twice the live count in
 # removed points, and the second shrink grew from 100 to 120 removals so
 # that it still rebuilds (before that: 23088 and 24952 calls; before splits
 # stopped measuring removed ids: 23228 and 24929).
 _SESSION_CALLS = {
-    0.0: (20716, "2510b3be4edb99375c56cd874d5dd2c4741f09dd65fa38492201e987940cf7bb"),
-    0.25: (22472, "45727926b5ada4a6239ff1b3b4a6e2d74122f02832e8fe00060a03f8e1ca42db"),
+    0.0: (20583, "4613b7cd72379f6d968a45bcc07998cecea20dc09fe0ab7d21b424673da213ec"),
+    0.25: (22408, "9159f4bbcf05d983503e2cf4adffe48b3d32168c53b3dacda68c209f3e1f92cc"),
 }
 
 

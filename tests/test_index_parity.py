@@ -202,23 +202,28 @@ def test_tombstones_never_decide_an_insert(ops):
 
 
 def _assert_leaves_hold_the_live_ids(tree, lin):
-    # The tree's live ids, those whose node is live, hold the exemplars the
-    # oracle holds.  Each live id sits in exactly one bucket, the one _node
-    # names, or is the vantage point of the internal node _node names, and
-    # a live internal node's point is its vantage id's point.  Buckets hold
-    # no removed id, and a removed id that is no vantage point holds no
-    # point.  Every point below an internal node, in a bucket or on a
+    # An id is live exactly when _node names a node for it, and the live
+    # ids hold the exemplars the oracle holds.  Each live id sits in exactly
+    # one bucket, the one _node names, or is the vantage point of the live
+    # internal node _node names, whose point is its point.  Buckets hold no
+    # removed id, and a removed id, a removed vantage point's included, maps
+    # to nothing and holds no point: its node alone keeps the point, to
+    # route by.  Every point below an internal node, in a bucket or on a
     # node, lies on the side of it that its distance says: within mu under
-    # inner, else (a NaN distance too) under outer.
+    # inner, else (a NaN distance too) under outer.  The leaf count and the
+    # deepest leaf the tree keeps are the walk's.
     assert len(tree) == len(lin)
     assert stored_outputs(tree) == stored_outputs(lin)
     live = set(live_handles(tree))
+    assert len(live) == len(tree)
     in_bucket = Counter()
     vantages = set()
+    leaves = deepest = 0
     dist = tree._distance
     stack = [(tree._root, ())]  # a node, and (point, mu, inner?) of each ancestor
     while stack:
         node, sides = stack.pop()
+        assert node.depth == len(sides)
         if node.bucket is None:
             below = [node.point]
         else:
@@ -227,26 +232,27 @@ def _assert_leaves_hold_the_live_ids(tree, lin):
             for vp, mu, inner in sides:
                 assert (dist(vp, p) <= mu) == inner
         if node.bucket is None:
-            vantages.add(node.vantage)
-            assert tree._node[node.vantage] is node
+            assert node.point is not None
             if node.live:
+                vantages.add(node.vantage)
+                assert tree._node[node.vantage] is node
                 assert tree._points[node.vantage] is node.point
             stack += [(node.inner, sides + ((node.point, node.mu, True),)),
                       (node.outer, sides + ((node.point, node.mu, False),))]
             continue
+        leaves += 1
+        deepest = max(deepest, len(sides))
         for pid in node.bucket:
             assert pid in live
             assert tree._node[pid] is node
             in_bucket[pid] += 1
     assert all(count == 1 for count in in_bucket.values())
-    for pid in live:
-        if pid in in_bucket:
-            assert pid not in vantages
-        else:
-            assert pid in vantages
-    for pid, point in enumerate(tree._points):
-        if pid not in live and pid not in vantages:
-            assert point is None
+    assert not vantages & in_bucket.keys()
+    assert vantages | in_bucket.keys() == live
+    for pid, node in enumerate(tree._node):
+        if node is None:
+            assert tree._points[pid] is None and tree._outputs[pid] is None
+    assert (tree._leaves, tree._deepest) == (leaves, deepest)
     assert len(tree._points) <= 3 * len(tree) + 1
 
 
