@@ -28,15 +28,16 @@ time: the output distance and the size delta, as two doubles.  A record
 the run did not finish is not written.  The writer rebuilds every other
 column from the deltas: the model size is their running sum, the action is
 ``ACTION_BY_DELTA``'s, and only an Insert (+1) misses.  The window columns
-are a ``WindowStats`` of the series window, fed the deltas.  While it fills
-(step ``k < w``) they are its rates over every step so far; from step ``w``
-on, their text comes from one memo keyed by the integer hit count or delta
-sum, filled on first use: the same division by ``w`` and format, so the
-same bytes, from at most ``2w + 1`` entries.
+are a ``WindowStats`` of the series window, fed the deltas: its hit count
+and delta sum divided by the steps it holds, ``min(k, w)`` at step ``k``.
+Their text comes from a memo keyed by those integers, filled on first use.
+While the window fills each step takes a fresh memo; from step ``w`` on
+both columns share one, of at most ``2w + 1`` entries.
 
 A series point needs no window: at every multiple of ``w`` it divides the
 hits and the size change since the previous multiple by ``w``, the same
-integers and the same division as a window over those ``w`` steps.
+integers and the same division as a window over those ``w`` steps.  The
+model size there is ``len(index)``: the run keeps no count of its own.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
     # less those at cut.  A series point's are those at the previous
     # multiple of series_window.
     cut = max(steps - tail_window, 0)
-    hits = size = hits_at_cut = size_at_cut = hits_then = size_then = 0
+    hits = hits_at_cut = size_at_cut = hits_then = size_then = 0
     series: list[SeriesPoint] = []
     evaluate = target.evaluate
     # Leaving the block hands the writer every completed step and reaps it,
@@ -216,16 +217,16 @@ def theorem_experiment(target: TargetFunction, input_metric: MetricDescriptor,
         for k, x in enumerate(points, 1):
             outcome = step(index, x, evaluate(x), output_metric, config, rng)
             delta = outcome.size_delta
-            size += delta
             hits += delta != 1
             if k == cut:
-                hits_at_cut, size_at_cut = hits, size
+                hits_at_cut, size_at_cut = hits, len(index)
             if writer:
                 record(outcome.output_distance)
                 record(delta)
                 if k % batch == 0:
                     writer.send()
             if k % series_window == 0:
+                size = len(index)
                 series.append(SeriesPoint(k, size, (hits - hits_then) / series_window,
                                           (size - size_then) / series_window))
                 hits_then, size_then = hits, size
@@ -380,9 +381,10 @@ def _trace_text(messages, series_window: int):
     written.  The stream can end in part of one (a step interrupted between
     its two appends, or a ``send`` cut short), which is dropped.
     """
-    # A full window divides its hit count (0..w) and its delta sum (-w..w)
-    # by w, so both columns share one text memo of at most 2w + 1 entries.
-    window_text = _RatioText(series_window)
+    # The window columns divide the window's hit count and delta sum by the
+    # steps it holds, min(k, w) at step k: while it fills each step takes a
+    # fresh memo, and from k = w on both columns share one of at most
+    # 2w + 1 entries (hit counts 0..w, delta sums -w..w).
     # The action and hit columns by size delta: Insert (+1) is the one miss.
     action_text = {delta: action.value for delta, action in ACTION_BY_DELTA.items()}
     hit_text = {+1: "0", -1: "1", 0: "1"}
@@ -397,15 +399,11 @@ def _trace_text(messages, series_window: int):
             k += 1
             size += delta
             update(delta)
+            if k <= series_window:
+                text = _RatioText(k)
             # format_float inlined: 17 significant digits.
-            if k < series_window:
-                hit_rate = f"{window.hit_rate:.17g}"
-                mean_delta = f"{window.mean_size_delta:.17g}"
-            else:
-                hit_rate = window_text[window.hits]
-                mean_delta = window_text[window.delta_sum]
             append(f"{k},{action_text[delta]},{size},{distance:.17g},{hit_text[delta]},"
-                   f"{hit_rate},{mean_delta}\n")
+                   f"{text[window.hits]},{text[window.delta_sum]}\n")
         yield "".join(rows)
 
 

@@ -285,8 +285,8 @@ class VpTreeIndex:
     def remove(self, handle: int) -> None:
         # Points of different dimensions can only share a root leaf (a
         # descent or split measures every other stored point against the
-        # root vantage); a compaction measures nothing, and a rebuild does
-        # not split a root leaf: it cannot raise.
+        # root vantage); a compaction measures nothing, and a rebuild meets
+        # a root leaf only at one live id or none: it cannot raise.
         self.output(handle)  # raises PositionOutOfRangeError unless the handle is live
         node = self._node[handle]
         self._node[handle] = None
@@ -322,12 +322,9 @@ class VpTreeIndex:
 
     def _rebuild(self) -> None:
         # Re-split the tree from its live ids, keeping their numbers.
-        root = _Node([i for i, node in enumerate(self._node) if node is not None])
-        if self._root.bucket is not None:
-            # A root leaf already holds every live id within its cap, and
-            # some of them no split has measured: it stays unsplit.
-            root.cap = self._root.cap
-        self._root = root
+        # The root is a leaf here only at one live id or none (``_compact``'s
+        # stale test; an insert's re-split follows a split), which no cap splits.
+        self._root = root = _Node([i for i, node in enumerate(self._node) if node is not None])
         self._leaves, self._deepest = 1, 0
         self._split(root)
 
@@ -346,35 +343,32 @@ class VpTreeIndex:
         while stack:
             leaf = stack.pop()
             bucket = leaf.bucket
-            if len(bucket) <= leaf.cap:
-                for i in bucket:
-                    node_of[i] = leaf
-                continue
-            vantage = bucket[len(bucket) // 2]
-            rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]
-            vp = pts[vantage]
-            pairs = sorted((dist(vp, pts[i]), i) for i in rest)
-            mu = pairs[(len(pairs) - 1) // 2][0]
-            # A NaN distance goes outer, where an insert's descent sends it.
-            inner = [i for d, i in pairs if d <= mu]
-            outer = [i for d, i in pairs if not d <= mu]
-            if not inner or not outer:
+            if len(bucket) > leaf.cap:
+                vantage = bucket[len(bucket) // 2]
+                rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]
+                vp = pts[vantage]
+                pairs = sorted((dist(vp, pts[i]), i) for i in rest)
+                mu = pairs[(len(pairs) - 1) // 2][0]
+                # A NaN distance goes outer, where an insert's descent sends it.
+                inner = [i for d, i in pairs if d <= mu]
+                outer = [i for d, i in pairs if not d <= mu]
+                if inner and outer:
+                    node_of[vantage] = leaf
+                    leaf.vantage = vantage
+                    leaf.point = vp
+                    leaf.mu = mu
+                    depth = leaf.depth + 1
+                    leaf.inner = _Node(inner, depth)
+                    leaf.outer = _Node(outer, depth)
+                    leaf.bucket = None
+                    self._leaves += 1
+                    self._deepest = max(self._deepest, depth)
+                    stack.append(leaf.inner)
+                    stack.append(leaf.outer)
+                    continue
                 leaf.cap = 2 * len(bucket)
-                for i in bucket:
-                    node_of[i] = leaf
-                continue
-            node_of[vantage] = leaf
-            leaf.vantage = vantage
-            leaf.point = vp
-            leaf.mu = mu
-            depth = leaf.depth + 1
-            leaf.inner = _Node(inner, depth)
-            leaf.outer = _Node(outer, depth)
-            leaf.bucket = None
-            self._leaves += 1
-            self._deepest = max(self._deepest, depth)
-            stack.append(leaf.inner)
-            stack.append(leaf.outer)
+            for i in bucket:
+                node_of[i] = leaf
 
     # -- queries ---------------------------------------------------------
 

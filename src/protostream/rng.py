@@ -21,11 +21,11 @@ zero.  A 64-bit value times a 64-bit constant fits in 128 bits, so no
 carry crosses into the next lane, and one lane mask after each xor-shift
 and each multiply does what ``& _MASK`` does for one value.  The lanes
 are read out of the int's native-order bytes as 64-bit words.  A stream
-keeps the wide int of its current block's states (~4 KB) and its draws
-(~11 KB), and computes its first block on its first draw, so a stream that
-never draws costs nothing.  Every later block's states are the previous
-block's plus ``_LANES * GAMMA`` in every lane: one addition and one lane
-mask, where the first block needs a broadcast multiply.  The sequence,
+keeps its current block's draws (~11 KB) and the state after the block's
+last draw, and computes its first block on its first draw, so a stream that
+never draws costs nothing.  A block's states come from that one state: a
+broadcast multiply into every lane, the lane offsets ``_LANES - k`` times
+``GAMMA`` added, and one lane mask.  The sequence,
 the draw-count contract and ``state`` are those of computing one output
 at a time with ``_mix``, which the tests keep as the reference.
 
@@ -58,8 +58,6 @@ _LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 _LANE_STEPS = int.from_bytes(b"".join(
     (((_LANES - k) * _GAMMA) & _MASK).to_bytes(_LANE_BYTES, "little")
     for k in range(_LANES)), "little")
-# What every lane's state advances by from one block to the next.
-_LANE_ADVANCE = _LANE_ONES * ((_LANES * _GAMMA) & _MASK)
 # The low 64-bit word of every lane, lane 0 first, among a block's native-
 # order words: on a big-endian machine the words come high lane first and
 # high half first.
@@ -99,17 +97,15 @@ class RandomStream:
       [1, 2**64] raises ConfigError and draws nothing.
     """
 
-    __slots__ = ("_end", "_lanes", "_block")
+    __slots__ = ("_end", "_block")
 
     def __init__(self, seed: int, stream: int = 0):
         if seed < 0 or stream < 0:
             raise ConfigError(f"seed and stream index must be nonnegative integers, "
                               f"got seed {seed}, stream {stream}")
-        # The state after the last draw of the current block, the block's
-        # states in their lanes (None before the first block), and the
+        # The state after the last draw of the current block, and the
         # block's draws not yet handed out, last draw first.
         self._end = _mix((seed + (stream + 1) * _GAMMA) & _MASK)
-        self._lanes = None
         self._block = []
 
     @property
@@ -125,14 +121,9 @@ class RandomStream:
 
     def _refill(self) -> list:
         """Compute the next ``_LANES`` draws into ``self._block``."""
-        z = self._lanes
-        if z is None:
-            z = self._end * _LANE_ONES + _LANE_STEPS
-        else:
-            # A state plus the advance fits in 65 bits: no carry crosses
-            # into the next lane.
-            z += _LANE_ADVANCE
-        self._lanes = z = z & _LANE_MASK
+        # Lane k's state is end + (_LANES - k) * GAMMA: below 2**65, so no
+        # carry crosses into the next lane before the lane mask.
+        z = (self._end * _LANE_ONES + _LANE_STEPS) & _LANE_MASK
         self._end = (self._end + _LANES * _GAMMA) & _MASK
         z = (((z ^ (z >> 30)) & _LANE_MASK) * _MIX1) & _LANE_MASK
         z = (((z ^ (z >> 27)) & _LANE_MASK) * _MIX2) & _LANE_MASK
@@ -185,13 +176,11 @@ def sample_uniform(candidates, rng: RandomStream):
 
     Always consumes at least one draw, including for a single candidate,
     so the draw count depends only on the collection size and the stream
-    state, never on the contents.  A single candidate takes exactly the
-    one draw ``next_below(1)`` would, since its first draw always passes.
+    state, never on the contents.  A single candidate takes exactly one
+    draw, since the first draw of ``next_below(1)`` always passes: a caller
+    may take that one draw inline.
     """
     n = len(candidates)
-    if n == 1:
-        rng.next_u64()
-        return candidates[0]
     if n == 0:
         raise EmptyCandidatesError("cannot sample from an empty candidate list")
     return candidates[rng.next_below(n)]

@@ -8,10 +8,11 @@ requests longer than the lattice and lattices of more than
 
 Every generator has a ``size``, the most points it can emit (``math.inf``
 for IidUniform and RandomWalk, the lattice size for GridSweep), and a
-``points(length)`` iterator.  ``generate_stream`` checks the length
-against the size once (``check_length``) and returns a ``StreamView``:
-an iteration draws its points as it goes, and every iteration replays
-the same points from ``(seed, stream)``.  IidUniform draws ahead by at
+``points(length)`` iterator, empty for a ``length`` below 1.
+``generate_stream`` checks the length against the size once
+(``check_length``) and returns a ``StreamView``: an iteration draws its
+points as it goes, and every iteration replays the same points from
+``(seed, stream)``.  IidUniform draws ahead by at
 most ``_CHUNK`` (256) points, whose coordinates it computes at once, and
 chains the chunks' zips in C, so no Python frame runs between two points
 of a chunk; RandomWalk draws each point when the iteration reaches it.
@@ -139,7 +140,7 @@ class GridSweep:
         for i in range(len(lattice) - 1, 0, -1):
             j = rng.next_below(i + 1)
             lattice[i], lattice[j] = lattice[j], lattice[i]
-        del lattice[length:]
+        del lattice[max(length, 0):]
         yield from lattice
 
 
@@ -173,6 +174,8 @@ class RandomWalk:
                               f"{self.step_scale} overflow the reflection")
 
     def points(self, length: int) -> Iterator[tuple]:
+        if length < 1:
+            return
         rng = RandomStream(self.seed, self.stream)
         pos = [0.5 * (lo + hi) for lo, hi in self.bounds]
         yield tuple(pos)

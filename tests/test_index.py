@@ -345,8 +345,8 @@ def test_split_keeps_a_point_at_nan_distance():
 
 def test_rebuild_keeps_an_unmeasured_root_leaf():
     # Seventeen equal points cannot be split, so the root leaf's cap grows
-    # and a 2-D point joins it unmeasured.  The rebuild that the removals
-    # below force must not split that leaf: a removal never raises.
+    # and a 2-D point joins it unmeasured.  The removals below force a
+    # compaction, which measures nothing: a removal never raises.
     lin = LinearScanIndex(EUCLID)
     tree = VpTreeIndex(EUCLID)
     for idx in (lin, tree):
@@ -364,6 +364,30 @@ def test_rebuild_keeps_an_unmeasured_root_leaf():
             idx.query_nearest_set((0.0,))
         idx.remove(live_handles(idx)[17])
     assert nearest_outputs(tree, (0.5,)) == nearest_outputs(lin, (0.5,)) == list(range(17))
+
+
+def test_a_root_leaf_rebuilt_at_one_live_id_grows_a_tree_again():
+    # As above, the root leaf's cap doubles to 34 and a 2-D point joins it
+    # unmeasured.  Once that point and all but one other are removed, the
+    # compaction at one live id rebuilds the root, and no removal raises.
+    # Inserts after it must grow a tree that agrees with the linear scan.
+    lin = LinearScanIndex(EUCLID)
+    tree = VpTreeIndex(EUCLID)
+    for idx in (lin, tree):
+        for i in range(17):
+            idx.insert((0.0,), i)
+        idx.insert((1.0, 2.0), "b")
+        idx.remove(live_handles(idx)[17])
+        while len(idx) > 1:
+            idx.remove(live_handles(idx)[0])
+        for i in range(40):
+            idx.insert((i * 7 % 40 / 8.0,), 100 + i)
+    assert tree._root.bucket is None
+    assert stored_outputs(tree) == stored_outputs(lin)
+    for k in range(-2, 45):
+        x = (k / 8.0 + 0.03,)
+        assert nearest_outputs(tree, x) == nearest_outputs(lin, x)
+    assert nearest_outputs(tree, (0.0,)) == [16, 100]
 
 
 def test_unsplittable_leaf_is_not_resorted_at_every_insert():

@@ -1,11 +1,21 @@
-"""README's Python examples run as written and print what their comments say."""
+"""README's Python examples run as written and print what their comments say,
+and its shell commands parse with the command line's own parser."""
 
 import re
+import shlex
 from pathlib import Path
 
+from protostream import cli
+
 README = Path(__file__).resolve().parents[1] / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    re.DOTALL | re.MULTILINE)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
+# The protostream commands of the sh blocks, continuation lines joined.
+COMMANDS = [line for block in re.findall(r"^```sh\n(.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("protostream ")]
+# The config file example, which starts with its file name as a comment.
+CONFIG_FILE, = re.findall(r"^```\n(# run\.cfg\n.*?)^```", TEXT, re.DOTALL | re.MULTILINE)
 
 
 def _printed(block: str, capsys) -> list[str]:
@@ -27,3 +37,14 @@ def test_library_use_example(capsys):
 
 def test_step_and_predict_example(capsys):
     assert _printed(BLOCKS[1], capsys) == ["1.0"]
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch):
+    # Parsing builds every run's configuration and stream but runs nothing,
+    # so a flag or key the docs name and the parser lacks fails here.
+    (tmp_path / "run.cfg").write_text(CONFIG_FILE, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert [c.split()[1] for c in COMMANDS] == ["run", "sweep", "verify", "run"]
+    for command in COMMANDS:
+        argv = shlex.split(command, comments=True)[1:]
+        assert cli.parse_config(argv).subcommand == argv[0]

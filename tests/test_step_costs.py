@@ -15,7 +15,10 @@ probe, ``sample_uniform`` call, checked output accessor and float coins
 ``next_units`` is one comprehension, a call per 256 draws (26,269 and
 28,206 before).  Verify's q = 0.5 theorem shape, where the tree's
 maintenance calls weigh most, makes 27,516 (27,662 before a compaction
-came to keep only the live ids).
+came to keep only the live ids).  A run reads its model size at each series
+point, one ``len(index)`` call per 1000 steps where it used to sum the
+deltas: 3 calls more on each theorem shape, so ``big_model``'s makes 26,284,
+``churn``'s 28,221, verify's 27,519 and ``run_trace``'s untraced shape 24,828.
 """
 
 import gc
@@ -69,11 +72,12 @@ def _theorem_run(epsilon: float, q: float, steps: int):
 
 
 @pytest.mark.parametrize("run, bound", [
+    (_theorem_run(0.05, 0.9, 3000), 25_000),    # run_trace's shape, untraced: 8.28 per step
     (_theorem_run(0.002, 0.9, 3000), 26_500),   # big_model's shape: 8.76 calls per step
     (_theorem_run(0.001, 0.5, 3000), 28_500),   # churn's shape: 9.41 per step
     (_theorem_run(0.05, 0.5, 3000), 27_900),    # verify's q = 0.5 theorem shape: 9.17
     (lambda: conditional_branch_experiment(0.75, 2000, 0), 18_200),  # 9.05 per trial
     (lambda: growth_identity_experiment(0.5, 0.75, 2000, 0), 3_100),  # 1.53 per step
-], ids=["big_model", "churn", "verify_q0.5", "branch", "growth"])
+], ids=["run_trace", "big_model", "churn", "verify_q0.5", "branch", "growth"])
 def test_python_calls_per_step_stay_down(run, bound):
     assert _python_calls(run) <= bound

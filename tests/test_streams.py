@@ -152,6 +152,17 @@ def test_generate_stream_rejects_nonpositive_length():
         generate_stream(IidUniform(UNIT, seed=0), 0)
 
 
+@pytest.mark.parametrize("gen", [IidUniform(UNIT, seed=3), GridSweep(5, UNIT, seed=3),
+                                 RandomWalk(0.1, UNIT, seed=3)], ids=["iid", "grid", "walk"])
+def test_points_yield_nothing_below_length_one(gen):
+    # generate_stream refuses such lengths; points(length) itself yields none,
+    # and a longer request starts with the shorter one's points.
+    five = list(gen.points(5))
+    assert len(five) == 5
+    for length in (-3, 0, 1, 5):
+        assert list(gen.points(length)) == five[:max(length, 0)]
+
+
 BOX = ((0.0, 1.0), (-2.0, 3.0))
 
 # SHA-256 of repr(list of points): the 1000 points each generator drew
