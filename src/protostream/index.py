@@ -18,9 +18,10 @@ inserts only the linear scan accepts).
 The tree answers a query in a single descent.  It keeps every live point
 within ``best * (1 + tie_tolerance)`` of the closest distance seen so far,
 prunes against that shrinking band, and at the end drops the candidates
-outside the band of the exact minimum.  An internal node holds its vantage
-point itself, ``point``, so a descent measures it without an id lookup.  A
-far child waits with its gap, the bound below which the slack-widened
+outside the band of the exact minimum.  Every live id sits in one leaf, and
+an internal node only routes: it holds its routing point itself, ``point``,
+so a descent measures it without an id lookup, and it is never a candidate.
+A far child waits with its gap, the bound below which the slack-widened
 triangle test prunes it, computed once when it is pushed; popping it costs
 one comparison, and a NaN gap never prunes.  Every candidate is at least
 the best distance known when it was added, so a new best ``d`` with
@@ -29,24 +30,23 @@ candidate in the final band, and the candidate list restarts at ``d``.  At
 tolerance 0 it restarts at every new best, so a query usually ends with one
 candidate, which it returns after the band test without a sort.
 
-A removal releases the id's point and output at once and takes a leaf id
-out of its leaf, so leaves hold only live ids and a query never measures a
-removed leaf point.  A removed vantage point stays on its node, which is
-marked no longer live, and still partitions the points below; its id, like
-any removed id, names no node.  Every removed id keeps its slot in the
-per-id lists until the removed ids holding a slot outnumber twice the live
-count, so the tree's storage stays within three times the live count, not
-the number of points ever inserted.  Then one renumbering keeps the live
-ids, in the same order, and drops every other slot.  A compaction then
-remaps the buckets and vantage ids the kept ids name, in place: it measures
-no distance and leaves the tree's shape as it is.  A stale tree is rebuilt
-from the renumbered ids instead.  It is stale when it has more leaves than
-half the live count, or a leaf deeper than twice the bit length of
-``live // _LEAF_CAPACITY``: the depth test of a scapegoat tree (Galperin
-and Rivest, SODA 1993), applied to the whole tree.  The tree counts its
-leaves and its deepest leaf as it splits, so the test is O(1).  No removed
-id survives a trigger, so the next one comes more removals later than
-twice the live count it meets.  Amortized, each removal pays O(1) for
+A removal releases the id's point and output at once and takes the id out
+of its leaf, so leaves hold only live ids and a query never measures a
+removed point in a leaf.  A routing point whose id is removed stays on its
+node until a rebuild, and still partitions the points below.  Every removed
+id keeps its slot in the per-id lists until the removed ids holding a slot
+outnumber twice the live count, so the tree's storage stays within three
+times the live count, not the number of points ever inserted.  Then one
+renumbering keeps the live ids, in the same order, and drops every other
+slot.  A compaction then remaps the buckets that hold the kept ids, in
+place: it measures no distance and leaves the tree's shape as it is.  A
+stale tree is rebuilt from the renumbered ids instead.  It is stale when it
+has more leaves than half the live count, or a leaf deeper than twice the
+bit length of ``live // _LEAF_CAPACITY``: the depth test of a scapegoat
+tree (Galperin and Rivest, SODA 1993), applied to the whole tree.  The tree
+counts its leaves and its deepest leaf as it splits, so the test is O(1).
+No removed id survives a trigger, so the next one comes more removals later
+than twice the live count it meets.  Amortized, each removal pays O(1) for
 compactions and O(log n) distance calls for rebuilds.  Inserts alone, such
 as a drifting stream's, can deepen the tree too: an insert whose split
 pushes the deepest leaf past twice the bit length of the live count (about
@@ -65,8 +65,8 @@ raises DimensionMismatchError.  An insert that raises, on the way down or
 in the split of an overflowing leaf, leaves the index as it was.
 
 Leaves hold only live ids, so a split measures live points only, and once
-the root has split every stored point, removed vantage points included, has
-the root vantage point's dimension.  So a tree insert whose point has the
+the root has split every stored point, routing points included, has the
+root's routing point's dimension.  So a tree insert whose point has the
 dimension of every live point never raises.  Where the live points'
 dimensions differ, the tree's descent or split may raise where the linear
 scan stores the point: the two backends accept the same inserts only while
@@ -177,26 +177,24 @@ class LinearScanIndex:
 class _Node:
     """Tree node; ``bucket`` is a list of point ids at leaves, else None.
 
-    An internal node's vantage point is ``point``, and ``vantage`` is its id,
-    the handle.  A compaction renumbers ``vantage`` and the bucket ids in
-    place, and a rebuild builds new nodes; neither replaces a point object,
-    so ``point`` never goes stale.  Inner holds the points
-    with ``d(point, p) <= mu``, outer every other one, NaN distances included.
-    An internal node is ``live`` until its vantage point is removed; then it
-    keeps ``point`` to route by, and ``vantage`` names no id any more.  A
-    leaf is always ``live``.  ``depth`` counts the edges from the root.  A
-    leaf splits once its bucket outgrows ``cap``.  A split that cannot
-    separate the bucket (every point at one distance from the vantage, or a
-    NaN median) doubles the leaf's ``cap``, so the next attempt waits until
-    the bucket has doubled instead of coming at every insert.
+    A leaf holds ids; an internal node only routes.  Its ``point`` is the
+    point of an id that was in the bucket it split from, and that id stays
+    in a leaf below it, inner at distance 0.  A compaction renumbers the
+    bucket ids in place, and a rebuild builds new nodes; neither replaces a
+    point object, so ``point`` never goes stale, and a removal leaves it on
+    its node.  Inner holds the points with ``d(point, p) <= mu``, outer
+    every other one, NaN distances included.  ``depth`` counts the edges
+    from the root.  A leaf splits once its bucket outgrows ``cap``.  A split
+    that cannot separate the bucket (every other point at one distance from
+    the routing point, or a NaN median) doubles the leaf's ``cap``, so the
+    next attempt waits until the bucket has doubled instead of coming at
+    every insert.
     """
 
-    __slots__ = ("vantage", "point", "live", "mu", "inner", "outer", "bucket", "cap", "depth")
+    __slots__ = ("point", "mu", "inner", "outer", "bucket", "cap", "depth")
 
     def __init__(self, bucket, depth=0):
-        self.vantage = -1
         self.point = None
-        self.live = True
         self.mu = 0.0
         self.inner = None
         self.outer = None
@@ -209,15 +207,14 @@ class VpTreeIndex:
     """Vantage-point tree over an arbitrary metric (Yianilos, SODA 1993).
 
     Inserts descend by the stored split radii, so the partition invariant
-    (inner holds exactly the points with d(vantage, p) <= mu) survives
+    (inner holds exactly the points with d(point, p) <= mu) survives
     mutation.  Points get increasing internal ids, the handles the tree
-    hands out.  ``_node`` names each live id's node: the leaf that holds
-    it, or the internal node whose vantage point it is; a removed id's entry
-    is None, so an id is live exactly when its node is not None.  Whenever
-    the removed ids still holding a slot, ``len(_points) - _live``, exceed
-    twice the live count, ``_compact`` keeps the live ids, renumbered to
+    hands out.  ``_node`` names the leaf that holds each live id; a removed
+    id's entry is None, so an id is live exactly when its leaf is not None.
+    Whenever the removed ids still holding a slot, ``len(_points) - _live``,
+    exceed twice the live count, ``_compact`` keeps the live ids, renumbered to
     ``0..n-1`` in order, and drops every other slot; it then remaps the
-    nodes the kept ids name, or rebuilds a stale tree from them (see the
+    leaves the kept ids name, or rebuilds a stale tree from them (see the
     module docstring).  So ``len(_points)`` never exceeds three times the
     live count, and the order of handles, hence every tie order, is
     unchanged.  ``_leaves`` and ``_deepest`` count the tree's leaves and
@@ -228,7 +225,7 @@ class VpTreeIndex:
         self._distance, self._mismatch = _resolve(metric)
         self._points: list = []       # by internal id, compacted at a trigger
         self._outputs: list = []      # by internal id, compacted at a trigger
-        self._node: list = []         # by internal id: its leaf or vantage node, or None
+        self._node: list = []         # by internal id: its leaf, or None
         self._live = 0                # number of live ids
         self._root = _Node([])        # an empty leaf while nothing is stored
         self._leaves, self._deepest = 1, 0  # the tree's leaf count and deepest leaf
@@ -285,16 +282,12 @@ class VpTreeIndex:
     def remove(self, handle: int) -> None:
         # Points of different dimensions can only share a root leaf (a
         # descent or split measures every other stored point against the
-        # root vantage); a compaction measures nothing, and a rebuild meets
-        # a root leaf only at one live id or none: it cannot raise.
+        # root's routing point); a compaction measures nothing, and a rebuild
+        # meets a root leaf only at one live id or none: it cannot raise.
         self.output(handle)  # raises PositionOutOfRangeError unless the handle is live
-        node = self._node[handle]
+        # A routing node keeps its point: descents still measure it.
+        self._node[handle].bucket.remove(handle)
         self._node[handle] = None
-        if node.bucket is None:
-            # The vantage point stays on its node: descents still measure it.
-            node.live = False
-        else:
-            node.bucket.remove(handle)
         self._points[handle] = self._outputs[handle] = None
         self._live = live = self._live - 1
         if len(self._points) - live > 2 * live:
@@ -311,14 +304,11 @@ class VpTreeIndex:
         if 2 * self._leaves > live or self._deepest > 2 * (live // _LEAF_CAPACITY).bit_length():
             self._rebuild()
             return
-        # The tree keeps its shape and points: only the nodes the kept ids
+        # The tree keeps its shape and points: only the leaves the kept ids
         # name change, and a bucket keeps its order.
         new_id = dict(zip(kept, range(live)))
-        for node in dict.fromkeys(nodes):
-            if node.bucket is None:
-                node.vantage = new_id[node.vantage]
-            else:
-                node.bucket = [new_id[i] for i in node.bucket]
+        for leaf in dict.fromkeys(nodes):
+            leaf.bucket = [new_id[i] for i in leaf.bucket]
 
     def _rebuild(self) -> None:
         # Re-split the tree from its live ids, keeping their numbers.
@@ -329,13 +319,14 @@ class VpTreeIndex:
         self._split(root)
 
     def _split(self, node: _Node) -> None:
-        # Iteratively split oversized leaves; a leaf whose points all sit
-        # at one distance from the vantage, or whose median distance is NaN,
-        # leaves one side empty: it cannot make progress, is kept
-        # oversized and doubles its cap.  Every bucket holds live ids only,
-        # and ``_node`` names the leaf or internal node where each id ends.
-        # No node changes before the first distance pass, so a split that
-        # raises leaves the tree as it was.
+        # Iteratively split oversized leaves around the point of their
+        # middle id; that id is sorted with the rest and goes inner, at
+        # distance 0.  A leaf whose other points all sit at one distance
+        # from it, or whose median distance is NaN, leaves one side empty:
+        # it cannot make progress, is kept oversized and doubles its cap.
+        # Every bucket holds live ids only, and ``_node`` names the leaf
+        # where each id ends.  No node changes before the first distance
+        # pass, so a split that raises leaves the tree as it was.
         dist = self._distance
         pts = self._points
         node_of = self._node
@@ -344,17 +335,13 @@ class VpTreeIndex:
             leaf = stack.pop()
             bucket = leaf.bucket
             if len(bucket) > leaf.cap:
-                vantage = bucket[len(bucket) // 2]
-                rest = bucket[: len(bucket) // 2] + bucket[len(bucket) // 2 + 1:]
-                vp = pts[vantage]
-                pairs = sorted((dist(vp, pts[i]), i) for i in rest)
+                vp = pts[bucket[len(bucket) // 2]]
+                pairs = sorted((dist(vp, pts[i]), i) for i in bucket)
                 mu = pairs[(len(pairs) - 1) // 2][0]
                 # A NaN distance goes outer, where an insert's descent sends it.
                 inner = [i for d, i in pairs if d <= mu]
                 outer = [i for d, i in pairs if not d <= mu]
                 if inner and outer:
-                    node_of[vantage] = leaf
-                    leaf.vantage = vantage
                     leaf.point = vp
                     leaf.mu = mu
                     depth = leaf.depth + 1
@@ -375,8 +362,9 @@ class VpTreeIndex:
     def query_nearest_set(self, x, tie_tolerance: float = 0.0) -> list[int]:
         # One descent: every live point within the current band
         # best * (1 + tol) is a candidate, and the band only shrinks, so
-        # the candidates include the final tie set.  Each id sits in one
-        # node, so each distance is evaluated at most once.
+        # the candidates include the final tie set.  Internal nodes only
+        # route; each live id sits in one leaf, so a leaf point is measured
+        # at most once, plus once for each node it routes.
         if not self._live:
             raise EmptyModelError("nearest-set query against an empty index")
         dist = self._distance
@@ -393,13 +381,6 @@ class VpTreeIndex:
             while True:
                 while (bucket := node.bucket) is None:
                     dv = dist(node.point, x)
-                    if node.live and dv <= bound:
-                        if dv < best:
-                            if dv * widen < best:
-                                found = []
-                            best = dv
-                            bound = dv * widen
-                        found.append((node.vantage, dv))
                     mu = node.mu
                     # The near child can never be pruned (dv <= mu <= mu + bound,
                     # or dv > mu >= mu - bound), so descend into it at once.

@@ -102,6 +102,19 @@ def test_config_file_missing_equals_rejected(tmp_path):
         parse_config(["run", "--config", str(cfg_file)])
 
 
+def test_an_output_at_exactly_epsilon_is_a_hit(tmp_path, capsys):
+    # quantized_labeler's outputs are cell indices under the discrete
+    # metric, so a consulted output is at distance 0 or exactly 1.  At
+    # epsilon 1 every step is a hit and the model never grows past its first
+    # exemplar; were d == epsilon a miss, it would keep one per cell, 10.
+    code = main(["run", "--target", "quantized_labeler", "--epsilon", "1", "--q", "0.75",
+                 "--steps", "2000", "--output", str(tmp_path / "trace.csv")])
+    assert code == 0
+    size_line = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("final model size:"))
+    assert size_line.split() == ["final", "model", "size:", "1"]
+
+
 def test_run_writes_valid_trace(tmp_path, capsys):
     out = tmp_path / "trace.csv"
     code = main(["run", "--steps", "300", "--q", "0.75", "--epsilon", "0.2",

@@ -134,6 +134,23 @@ def test_theorem_report_reproduces_with_same_seed():
     assert a.config == b.config
 
 
+def test_theorem_stabilizes_at_a_tail_delta_equal_to_the_threshold():
+    # The flag is |tail_mean_delta| <= stabilization_delta: a run whose tail
+    # delta equals the threshold is stabilized, and one ulp less is not.
+    target = TARGETS["sine_1d"]
+    config = LearnerConfig(epsilon=0.1, q=0.75, seed=3)
+    gen = IidUniform(target.domain, config.seed, points_stream_index(0))
+    report = theorem_experiment(target, EUCLID, config, gen, 4000, tail_window=1000)
+    delta = abs(report.tail_mean_delta)
+    assert delta > 0.0
+    at = theorem_experiment(target, EUCLID, config, gen, 4000, tail_window=1000,
+                            stabilization_delta=delta)
+    below = theorem_experiment(target, EUCLID, config, gen, 4000, tail_window=1000,
+                               stabilization_delta=math.nextafter(delta, 0.0))
+    assert at.tail_mean_delta == report.tail_mean_delta
+    assert at.stabilized and not below.stabilized
+
+
 def test_theorem_index_backends_agree():
     target = TARGETS["sine_1d"]
     config = LearnerConfig(epsilon=0.1, q=0.75, seed=8)

@@ -109,10 +109,10 @@ def test_dead_handles_are_refused(kind):
     idx.remove(39)
     dead = [-1, 40, 39]
     if kind == "vptree":
-        # A removed vantage point keeps its point in its node.
-        vantage = idx._root.vantage
-        idx.remove(vantage)
-        dead.append(vantage)
+        # The id whose point routes the root: its node keeps the point.
+        routing = next(h for h, p in enumerate(idx._points) if p is idx._root.point)
+        idx.remove(routing)
+        dead.append(routing)
     live = stored_outputs(idx)
     for handle in dead:
         with pytest.raises(PositionOutOfRangeError):
@@ -614,10 +614,13 @@ def test_other_metrics_errors_pass_through():
 
 # Call count and SHA-256 of every distance(stored, query) call the tree
 # made in the session below: a change to the descent must make the same
-# calls.  Taken once a compaction came to keep only the live ids, dropping
-# the removed vantage points' slots too, so that the triggers come later:
-# the shrinks rebuild at 32 and 60 live, not 37 and 62 (before: 20716 and
-# 22472 calls).
+# calls.  Taken once every live id came to sit in a leaf, internal nodes
+# only routing: a split's routing point goes inner with its bucket, and a
+# query measures routing points to route only (before: 20583 and 22408
+# calls).  Earlier, a compaction came to keep only the live ids, dropping
+# the slots of removed ids that still routed nodes, so that the triggers
+# come later: the shrinks rebuild at 32 and 60 live, not 37 and 62 (before
+# that: 20716 and 22472 calls).
 # Earlier, a removal trigger came to compact the ids of a tree that was
 # not stale instead of re-splitting it, which keeps the tree's shape between
 # rebuilds (before that: 21156 and 22962 calls).  Earlier, removals came to leave
@@ -626,8 +629,8 @@ def test_other_metrics_errors_pass_through():
 # that it still rebuilds (before that: 23088 and 24952 calls; before splits
 # stopped measuring removed ids: 23228 and 24929).
 _SESSION_CALLS = {
-    0.0: (20583, "4613b7cd72379f6d968a45bcc07998cecea20dc09fe0ab7d21b424673da213ec"),
-    0.25: (22408, "9159f4bbcf05d983503e2cf4adffe48b3d32168c53b3dacda68c209f3e1f92cc"),
+    0.0: (21112, "faba91cc3f526b371d0a6ce3c07832409b15e825a671bf314bc4e84a6dca021b"),
+    0.25: (22818, "3d46ea7724df729b9270e9ca09c2515b52fecca6ae1f7fe06b5fdd954f1d51c2"),
 }
 
 
@@ -665,9 +668,11 @@ def test_tree_distance_calls_are_pinned(tie_tol):
 # Call count and SHA-256 of every distance(stored, query) call in a 1-D run
 # shaped like the benchmark's churn workload (sine_1d, epsilon 0.001,
 # q 0.5, seed 0): about 1100 live exemplars, half of the steps inserting and
-# half removing, and two compactions, no rebuild, within the 12,000 steps
-# (before: 271254 calls, when each of the two re-split the tree).
-_CHURN_CALLS = (255995, "3833a2369e98eaeb22728835e7871c8f86d22c0b26bc90647d9ec7277906eee8")
+# half removing, and two compactions, no rebuild, within the 12,000 steps.
+# Taken once every live id came to sit in a leaf and internal nodes came to
+# route only (before: 255995 calls; before that, 271254, when each of the
+# two compactions re-split the tree).
+_CHURN_CALLS = (258305, "d065028aeebc9685aa96d0c81c67a92890f398ae24ff24f281155e57fbbd66b3")
 
 
 def test_tree_distance_calls_are_pinned_on_a_churn_run():

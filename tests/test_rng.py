@@ -94,6 +94,20 @@ def test_next_below_covers_all_residues():
     assert seen == set(range(7))
 
 
+def test_next_below_rejects_a_draw_equal_to_its_limit():
+    # limit = (2**64 // 3) * 3 is the first draw the rejection refuses: it
+    # is taken again, and the second draw decides the result.
+    limit = (2**64 // 3) * 3
+    draws = [limit, 4]
+
+    class Stubbed(RandomStream):
+        def next_u64(self):
+            return draws.pop(0)
+
+    assert Stubbed(0, 0).next_below(3) == 4 % 3
+    assert draws == []
+
+
 def test_next_below_rejects_nonpositive():
     rng = RandomStream(0, 0)
     with pytest.raises(ConfigError):

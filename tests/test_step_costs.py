@@ -1,4 +1,4 @@
-"""Exact Python-call cost of the per-step paths.
+"""Exact Python-call and bytecode cost of the per-step paths.
 
 ``sys.setprofile`` counts every Python function call (a "call" event; calls
 of C functions are "c_call" events and are not counted) over a short run of
@@ -19,6 +19,14 @@ came to keep only the live ids).  A run reads its model size at each series
 point, one ``len(index)`` call per 1000 steps where it used to sum the
 deltas: 3 calls more on each theorem shape, so ``big_model``'s makes 26,284,
 ``churn``'s 28,221, verify's 27,519 and ``run_trace``'s untraced shape 24,828.
+
+``sys.settrace`` with ``f_trace_opcodes`` counts every bytecode executed in
+Python frames over the four theorem shapes, which catches work added inside
+a function as well as a call.  Counts of this code, and of the code before
+the vp-tree's internal nodes came to route only, every live id sitting in a
+leaf (in brackets): ``run_trace``'s untraced shape 1,860,113 [1,868,696],
+``big_model``'s 2,724,603 [2,909,123], ``churn``'s 2,887,005 [3,125,126]
+and verify's q = 0.5 theorem shape 1,835,783 [1,859,547].
 """
 
 import gc
@@ -62,6 +70,30 @@ def _python_calls(fn) -> int:
     return calls
 
 
+def _opcodes(fn) -> int:
+    """Bytecodes executed in Python frames while ``fn()`` runs."""
+    opcodes = 0
+
+    def trace(frame, event, _arg):
+        nonlocal opcodes
+        if event == "call":
+            frame.f_trace_opcodes = True
+        elif event == "opcode":
+            opcodes += 1
+        return trace
+
+    previous = sys.gettrace()
+    gc.collect()
+    gc.disable()
+    sys.settrace(trace)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+        gc.enable()
+    return opcodes
+
+
 def _theorem_run(epsilon: float, q: float, steps: int):
     # A benchmark workload's shape (perfbench/run.py), shortened.
     target = TARGETS["sine_1d"]
@@ -81,3 +113,13 @@ def _theorem_run(epsilon: float, q: float, steps: int):
 ], ids=["run_trace", "big_model", "churn", "verify_q0.5", "branch", "growth"])
 def test_python_calls_per_step_stay_down(run, bound):
     assert _python_calls(run) <= bound
+
+
+@pytest.mark.parametrize("run, bound", [
+    (_theorem_run(0.05, 0.9, 3000), 1_861_000),    # run_trace's shape, untraced: 620.0 per step
+    (_theorem_run(0.002, 0.9, 3000), 2_725_000),   # big_model's shape: 908.2 per step
+    (_theorem_run(0.001, 0.5, 3000), 2_888_000),   # churn's shape: 962.3 per step
+    (_theorem_run(0.05, 0.5, 3000), 1_836_000),    # verify's q = 0.5 theorem shape: 611.9
+], ids=["run_trace", "big_model", "churn", "verify_q0.5"])
+def test_bytecodes_per_step_stay_down(run, bound):
+    assert _opcodes(run) <= bound
